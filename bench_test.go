@@ -7,12 +7,16 @@ import (
 	"testing"
 
 	"branchlab"
+	"branchlab/internal/core"
 	"branchlab/internal/experiments"
+	"branchlab/internal/pipeline"
 	"branchlab/internal/program"
 	"branchlab/internal/report"
 	"branchlab/internal/tage"
+	"branchlab/internal/trace"
 	"branchlab/internal/tracecache"
 	"branchlab/internal/tracestore"
+	"branchlab/internal/workload"
 )
 
 // One benchmark per table and figure of the paper. Each iteration
@@ -249,6 +253,98 @@ func BenchmarkTAGEPredictTrain(b *testing.B) {
 			}
 		})
 	}
+}
+
+// pipelineBenchTrace is the trace the pipeline-layer benchmarks share:
+// the first 300k instructions of 605.mcf_s input 0.
+func pipelineBenchTrace(b *testing.B) *trace.Buffer {
+	b.Helper()
+	spec, ok := workload.ByName("605.mcf_s")
+	if !ok {
+		b.Fatal("605.mcf_s not found")
+	}
+	return spec.Record(0, 300_000)
+}
+
+// BenchmarkPipelineAnnotate, BenchmarkPipelinePredict and
+// BenchmarkPipelineTime time the layered pipeline model's three stages
+// on one trace (DESIGN.md §12): the cache/BTB annotation, the
+// TAGE-SC-L 8KB misprediction map, and the 1x timing recurrence over
+// both. A scale sweep pays the first two once per trace and the third
+// once per cell. MB/s reads as M instructions/s.
+func BenchmarkPipelineAnnotate(b *testing.B) {
+	tr := pipelineBenchTrace(b)
+	b.SetBytes(int64(tr.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pipeline.Annotate(pipeline.Skylake(), tr)
+	}
+}
+
+func BenchmarkPipelinePredict(b *testing.B) {
+	tr := pipelineBenchTrace(b)
+	b.SetBytes(int64(tr.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.RunMispredicts(tr.BlockStream(0), tage.New(tage.Config8KB()))
+	}
+}
+
+func BenchmarkPipelineTime(b *testing.B) {
+	tr := pipelineBenchTrace(b)
+	a := pipeline.Annotate(pipeline.Skylake(), tr)
+	miss := core.RunMispredicts(tr.BlockStream(0), tage.New(tage.Config8KB()))
+	b.SetBytes(int64(tr.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pipeline.Time(pipeline.Skylake(), tr, a, miss)
+	}
+}
+
+// BenchmarkPipelineSweep is one trace's share of an IPC figure: three
+// pipeline scales under four regimes (TAGE-SC-L 8KB, perfect H2Ps,
+// perfect beyond an execution count, perfect prediction). The layered
+// sub-benchmark annotates and predicts once and times each cell; the
+// reference sub-benchmark runs the fused pipeline.Reference model per
+// cell, as the IPC drivers did before the layering. Their ratio is the
+// same-run gate in scripts/bench.sh.
+func BenchmarkPipelineSweep(b *testing.B) {
+	tr := pipelineBenchTrace(b)
+	col := core.NewCollector(100_000)
+	core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
+	h2ps := core.PaperCriteria().Scaled(100_000).Screen(col).Set()
+	regimes := []func() pipeline.Options{
+		func() pipeline.Options { return pipeline.Options{Predictor: tage.New(tage.Config8KB())} },
+		func() pipeline.Options {
+			return pipeline.Options{Predictor: tage.New(tage.Config8KB()), PerfectIPs: h2ps}
+		},
+		func() pipeline.Options {
+			return pipeline.Options{Predictor: tage.New(tage.Config8KB()), MinExecsPerfect: 10}
+		},
+		func() pipeline.Options { return pipeline.Options{PerfectBP: true} },
+	}
+	scales := []int{1, 4, 16}
+	b.Run("layered", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a := pipeline.Annotate(pipeline.Skylake(), tr)
+			miss := core.RunMispredicts(tr.BlockStream(0), tage.New(tage.Config8KB()))
+			for _, opt := range regimes {
+				m := pipeline.Oracle(tr, miss, opt())
+				for _, k := range scales {
+					pipeline.Time(pipeline.Skylake().Scaled(k), tr, a, m)
+				}
+			}
+		}
+	})
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, opt := range regimes {
+				for _, k := range scales {
+					pipeline.Reference(pipeline.Skylake().Scaled(k), tr.Stream(), opt())
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkRecordSharded contrasts sequential trace recording with

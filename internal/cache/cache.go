@@ -39,11 +39,13 @@ type Cache struct {
 	// use holds LRU timestamps; 0 means the way is invalid (the clock
 	// starts at 1), which folds the validity check into the timestamp
 	// load on the per-instruction L1 lookup path.
-	use    []uint64
-	clock  uint64
-	lower  *Cache
-	memLat uint64
-	stats  Stats
+	use   []uint64
+	clock uint64
+	lower *Cache
+	// lat[d] is the total latency of an access served at depth d: this
+	// level (0), a lower level (1, 2, ...), or memory (len(lat)-1).
+	lat   []uint64
+	stats Stats
 }
 
 // New builds a cache level; lower may be nil, in which case misses cost
@@ -65,13 +67,21 @@ func New(cfg Config, lower *Cache, memLat uint64) *Cache {
 	}
 	sets = p
 	n := sets * cfg.Ways
+	lat := []uint64{cfg.HitLat}
+	if lower == nil {
+		lat = append(lat, cfg.HitLat+memLat)
+	} else {
+		for _, l := range lower.lat {
+			lat = append(lat, cfg.HitLat+l)
+		}
+	}
 	return &Cache{
-		cfg:    cfg,
-		sets:   sets,
-		tags:   make([]uint64, n),
-		use:    make([]uint64, n),
-		lower:  lower,
-		memLat: memLat,
+		cfg:   cfg,
+		sets:  sets,
+		tags:  make([]uint64, n),
+		use:   make([]uint64, n),
+		lower: lower,
+		lat:   lat,
 	}
 }
 
@@ -81,9 +91,21 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Name returns the configured level name.
 func (c *Cache) Name() string { return c.cfg.Name }
 
+// Latencies returns the total access latency by serving depth, the
+// table that maps a Probe result back to the latency Access returns:
+// element 0 is a hit in this level, element d a hit d levels lower, and
+// the last element a miss to memory.
+func (c *Cache) Latencies() []uint64 { return append([]uint64(nil), c.lat...) }
+
 // Access looks up addr, filling on miss, and returns the total latency of
 // the access including lower levels.
-func (c *Cache) Access(addr uint64) uint64 {
+func (c *Cache) Access(addr uint64) uint64 { return c.lat[c.Probe(addr)] }
+
+// Probe is Access reporting where the access was served instead of its
+// latency: 0 for a hit in this level, d for a hit d levels lower, and
+// len(Latencies())-1 for memory. It updates contents and statistics
+// exactly as Access does.
+func (c *Cache) Probe(addr uint64) int {
 	c.clock++
 	block := addr >> c.cfg.BlockBits
 	set := int(block & uint64(c.sets-1))
@@ -96,15 +118,13 @@ func (c *Cache) Access(addr uint64) uint64 {
 		if tag == block && use[w] != 0 {
 			use[w] = c.clock
 			c.stats.Hits++
-			return c.cfg.HitLat
+			return 0
 		}
 	}
 	c.stats.Misses++
-	lat := c.cfg.HitLat
+	depth := 1
 	if c.lower != nil {
-		lat += c.lower.Access(addr)
-	} else {
-		lat += c.memLat
+		depth += c.lower.Probe(addr)
 	}
 	// Fill, evicting the LRU way; an invalid way (use 0) always loses
 	// the min-scan to any valid way, and ties keep the lowest index, so
@@ -118,7 +138,7 @@ func (c *Cache) Access(addr uint64) uint64 {
 	}
 	tags[victim] = block
 	use[victim] = c.clock
-	return lat
+	return depth
 }
 
 // Hierarchy is a Skylake-like three-level hierarchy with split L1.

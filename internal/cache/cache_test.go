@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"branchlab/internal/xrand"
+)
 
 func small() *Cache {
 	// 4KB, 4-way, 64B blocks = 16 sets.
@@ -110,5 +114,24 @@ func BenchmarkAccess(b *testing.B) {
 	h := NewHierarchy(DefaultHierarchy())
 	for i := 0; i < b.N; i++ {
 		h.L1D.Access(uint64(i*64) & 0xFFFFF)
+	}
+}
+
+func TestDepthLatenciesMatchAccess(t *testing.T) {
+	// A Probe's serving depth indexes Latencies to the latency Access
+	// would have returned for the same access sequence.
+	cfg := DefaultHierarchy()
+	cfg.MemLat = 1000
+	h1, h2 := NewHierarchy(cfg), NewHierarchy(cfg)
+	lat := h2.L1D.Latencies()
+	rng := xrand.New(3)
+	for i := 0; i < 50000; i++ {
+		addr := (rng.Uint64() % (1 << 24)) &^ 7
+		if got, want := lat[h2.L1D.Probe(addr)], h1.L1D.Access(addr); got != want {
+			t.Fatalf("access %d: depth latency %d != Access %d", i, got, want)
+		}
+	}
+	if h1.L1D.Stats() != h2.L1D.Stats() || h1.LLC.Stats() != h2.LLC.Stats() {
+		t.Errorf("Probe and Access diverged in statistics")
 	}
 }

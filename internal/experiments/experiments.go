@@ -369,27 +369,58 @@ func screenBranches(cfg Config, s *workload.Spec, input int, tr trace.Replayable
 	return v.rep, v.col
 }
 
-// ipcRun times a trace on the pipeline at the given scale.
-func ipcRun(tr trace.Replayable, scale int, opt pipeline.Options) pipeline.Result {
-	return pipeline.New(pipeline.Skylake().Scaled(scale)).Run(tr.Stream(), opt)
+// regime is one prediction regime of the IPC studies: TAGE-SC-L at a
+// storage budget, optionally with an oracle on top, or perfect
+// prediction (kb == 0).
+type regime struct {
+	// sig names the regime in memo keys; together with (workload,
+	// budget, scale) it must determine the cell's behaviour, since
+	// fig5/fig7/fig8 re-time identical (workload, scale, regime) cells.
+	sig      string
+	kb       int             // TAGE-SC-L storage budget; 0 = perfect prediction
+	ips      map[uint64]bool // predicted perfectly on top of the predictor
+	minExecs uint64          // IPs past this many executions predicted perfectly
 }
 
-// ipcCell is ipcRun memoized in the shared cache. sig names the
-// prediction regime (e.g. "tage-8kb", "perfect"); it must uniquely
-// determine opt's behaviour together with (workload, budget, scale),
-// since fig5/fig7/fig8 re-time identical (workload, scale, regime)
-// cells. tr must be the workload's input-0 trace at the configured
-// budget. opt is invoked only on a miss — predictors are stateful, so
-// each computed cell constructs its own.
-func ipcCell(cfg Config, s *workload.Spec, tr trace.Replayable, scale int, sig string, opt func() pipeline.Options) pipeline.Result {
-	key := fmt.Sprintf("ipc/%s/0/%d/%d/%s", s.Name, cfg.Budget, scale, sig)
+func tageRegime(kb int) regime { return regime{sig: fmt.Sprintf("tage-%dkb", kb), kb: kb} }
+
+var perfectRegime = regime{sig: "perfect"}
+
+// ipcCell times the workload's input-0 trace tr (at the configured
+// budget) on the pipeline at the given scale under regime r, memoized
+// in the shared cache. It composes the layered model's stages, each
+// memoized at its own key so every scale and regime of a trace shares
+// them: the cache/BTB annotation per trace, the predictor's
+// misprediction map per (trace, predictor), and the oracle-masked map
+// per (trace, regime). Only the timing recurrence runs per cell.
+func ipcCell(cfg Config, s *workload.Spec, tr trace.Replayable, scale int, r regime) pipeline.Result {
+	id := fmt.Sprintf("%s/0/%d", s.Name, cfg.Budget)
+	key := fmt.Sprintf("ipc/%s/%d/%s", id, scale, r.sig)
 	return cfg.Cache.Memo(key, func() any {
-		return ipcRun(tr, scale, opt())
+		ann := cfg.Cache.Memo("pipe-annotate/"+id, func() any {
+			return pipeline.Annotate(pipeline.Skylake(), tr)
+		}).(*pipeline.Annotation)
+		return pipeline.Time(pipeline.Skylake().Scaled(scale), tr, ann, mispredicts(cfg, id, tr, r))
 	}).(pipeline.Result)
 }
 
-func tagePred(kb int) pipeline.Options {
-	return pipeline.Options{Predictor: tage.New(tage.NewConfig(kb))}
+// mispredicts returns regime r's misprediction map over tr (nil for
+// perfect prediction), memoized per (trace, predictor) and, for the
+// oracle regimes, per (trace, regime) on top: the oracles mask the
+// plain predictor's map (pipeline.Oracle).
+func mispredicts(cfg Config, id string, tr trace.Replayable, r regime) *core.MispredictMap {
+	if r.kb == 0 {
+		return nil
+	}
+	miss := cfg.Cache.Memo("pipe-predict/"+id+"/"+tageRegime(r.kb).sig, func() any {
+		return core.RunMispredicts(tr.BlockStream(0), tage.New(tage.NewConfig(r.kb)))
+	}).(*core.MispredictMap)
+	if r.ips == nil && r.minExecs == 0 {
+		return miss
+	}
+	return cfg.Cache.Memo("pipe-predict/"+id+"/"+r.sig, func() any {
+		return pipeline.Oracle(tr, miss, pipeline.Options{PerfectIPs: r.ips, MinExecsPerfect: r.minExecs})
+	}).(*core.MispredictMap)
 }
 
 // geomean of a slice (positives assumed).

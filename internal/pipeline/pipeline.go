@@ -10,6 +10,21 @@
 // store-to-load forwarding, cache-latency variation, and branch
 // misprediction redirects that restart fetch after the branch resolves.
 // It is O(1) per instruction and deterministic.
+//
+// The model is layered into three stages (DESIGN.md §12). Because it is
+// trace-driven — no wrong path — and Config.Scaled leaves the caches and
+// BTB alone, only the last stage depends on the pipeline scale:
+//
+//   - Annotate (stage A) runs the trace through the cache hierarchy and
+//     BTB once, keeping one byte per instruction.
+//   - core.RunMispredicts (stage B) runs the predictor once, keeping one
+//     bit per conditional branch; Oracle masks it for the oracle regimes.
+//   - Time (stage C) is the timing recurrence over (Config, A, B).
+//
+// A scale sweep annotates and predicts once and times each scale from
+// the shared results; Core.Run composes the three stages block by block
+// for a one-shot run, and Reference keeps the fused single-loop model
+// as the oracle both are tested against.
 package pipeline
 
 import (
@@ -18,6 +33,7 @@ import (
 	"branchlab/internal/bp"
 	"branchlab/internal/btb"
 	"branchlab/internal/cache"
+	"branchlab/internal/core"
 	"branchlab/internal/trace"
 )
 
@@ -107,9 +123,6 @@ type Options struct {
 	// execution count so far exceeds the threshold (Fig 8's ">1000" and
 	// ">100" oracles).
 	MinExecsPerfect uint64
-	// BranchHook, when non-nil, observes every conditional branch with
-	// its prediction outcome.
-	BranchHook func(ip, target uint64, taken, pred bool)
 }
 
 // Result reports a run's timing and prediction outcomes.
@@ -131,95 +144,29 @@ func (r Result) Accuracy() float64 {
 	return 1 - float64(r.Mispreds)/float64(r.CondExecs)
 }
 
-// cycle-indexed width limiter: counts events per cycle in a ring. The
-// window must exceed any look-back distance, which is bounded by the
-// largest latency chain (memory latency + penalties « window).
-const widthWindow = 1 << 15
-
-type widthLimiter struct {
-	counts []uint16
-	limit  uint16
-	// cleared marks the highest cycle whose slot has been reset.
-	lastSeen uint64
-}
-
-func newWidthLimiter(limit int) *widthLimiter {
-	return &widthLimiter{counts: make([]uint16, widthWindow), limit: uint16(limit)}
-}
-
-// reserve finds the first cycle >= want with a free slot and claims it.
-func (w *widthLimiter) reserve(want uint64) uint64 {
-	for {
-		w.advance(want)
-		i := want & (widthWindow - 1)
-		if w.counts[i] < w.limit {
-			w.counts[i]++
-			return want
-		}
-		want++
-	}
-}
-
-// advance lazily clears ring slots the simulation has moved past.
-func (w *widthLimiter) advance(cycle uint64) {
-	if cycle <= w.lastSeen {
-		return
-	}
-	// Clear slots in (lastSeen, cycle]; they belong to new cycles.
-	d := cycle - w.lastSeen
-	if d > widthWindow {
-		d = widthWindow
-	}
-	for i := uint64(1); i <= d; i++ {
-		w.counts[(w.lastSeen+i)&(widthWindow-1)] = 0
-	}
-	w.lastSeen = cycle
-}
-
-// Core is a reusable pipeline simulator instance.
+// Core is a reusable pipeline simulator instance. Its cache hierarchy
+// and BTB persist across runs (a second Run starts warm).
 type Core struct {
-	cfg  Config
-	hier *cache.Hierarchy
-	btb  *btb.BTB
+	cfg Config
+	ann *annotator
 }
 
 // New returns a Core for the configuration.
 func New(cfg Config) *Core {
-	c := &Core{cfg: cfg, hier: cache.NewHierarchy(cfg.Caches)}
-	if cfg.BTBMissPenalty > 0 {
-		c.btb = btb.New(cfg.BTB)
-	}
-	return c
+	return &Core{cfg: cfg, ann: newAnnotator(cfg)}
 }
 
 // BTBStats returns target-prediction statistics (zero value when target
 // prediction is disabled).
 func (c *Core) BTBStats() btb.Stats {
-	if c.btb == nil {
+	if c.ann.btb == nil {
 		return btb.Stats{}
 	}
-	return c.btb.Stats()
+	return c.ann.btb.Stats()
 }
 
 // Hierarchy exposes the cache hierarchy (for stats reporting).
-func (c *Core) Hierarchy() *cache.Hierarchy { return c.hier }
-
-func execLatency(kind trace.Kind) uint64 {
-	switch kind {
-	case trace.KindALU, trace.KindNop:
-		return 1
-	case trace.KindMul:
-		return 3
-	case trace.KindDiv:
-		return 18
-	case trace.KindFP:
-		return 4
-	case trace.KindStore:
-		return 1
-	default: // branches resolve in one cycle once operands are ready
-		return 1
-	}
-}
+func (c *Core) Hierarchy() *cache.Hierarchy { return c.ann.hier }
 
 // Run simulates the stream to completion and returns timing results.
 // The stream is consumed in blocks (zero-copy for Buffer replays), the
@@ -228,232 +175,42 @@ func (c *Core) Run(s trace.Stream, opt Options) Result {
 	return c.RunBlocks(trace.AsBlocks(s, trace.DefaultBlockLen), opt)
 }
 
-// RunBlocks is Run over an explicit block stream.
+// RunBlocks is Run over an explicit block stream. It composes the three
+// stages block by block — annotate, predict (and apply the oracles),
+// time — so a one-shot run needs one pass and no per-trace storage
+// beyond the misprediction map, and yields exactly what Time returns
+// over Annotate and Oracle(core.RunMispredicts) of the same trace.
 func (c *Core) RunBlocks(bs trace.BlockStream, opt Options) Result {
-	cfg := c.cfg
-	var res Result
-
-	var (
-		regReady [trace.NumRegs]uint64
-
-		// Ring buffers holding per-entry release cycles for each bounded
-		// structure: an instruction cannot claim entry i%N until the
-		// previous holder released it.
-		robRelease   = make([]uint64, cfg.ROBSize)
-		schedRelease = make([]uint64, cfg.SchedSize)
-		lqRelease    = make([]uint64, cfg.LQSize)
-		sqRelease    = make([]uint64, cfg.SQSize)
-		robIdx       int
-		schedIdx     int
-		lqIdx        int
-		sqIdx        int
-
-		fetchLim  = newWidthLimiter(cfg.FetchWidth)
-		issueLim  = newWidthLimiter(cfg.IssueWidth)
-		retireLim = newWidthLimiter(cfg.RetireWidth)
-
-		fetchReady uint64 // earliest cycle fetch may proceed (redirects)
-		lastRetire uint64
-		lastCycle  uint64
-
-		// Store-to-load forwarding over the most recent stores.
-		storeAddr  = make([]uint64, cfg.SQSize)
-		storeDone  = make([]uint64, cfg.SQSize)
-		execCounts = make(map[uint64]uint64) // for MinExecsPerfect
-	)
-
-	// Resolve the predictor's optional interfaces once, outside the
-	// per-instruction loop (same hoist as core.Run).
-	var predTT targetTrainer
-	var predBO bp.BranchObserver
-	if opt.Predictor != nil {
-		predTT, _ = opt.Predictor.(targetTrainer)
-		predBO, _ = opt.Predictor.(bp.BranchObserver)
+	t := newTimer(c.cfg, c.ann.iLat, c.ann.dLat)
+	p := opt.Predictor
+	if opt.PerfectBP {
+		p = nil
 	}
-	train := func(ip, target uint64, taken, pred bool) {
-		if predTT != nil {
-			predTT.TrainWithTarget(ip, target, taken, pred)
-			return
-		}
-		opt.Predictor.Train(ip, taken, pred)
-	}
-
-	blk := bs.NextBlock()
-	j := 0
-	for {
-		if j >= len(blk) {
-			if blk = bs.NextBlock(); len(blk) == 0 {
-				break
-			}
-			j = 0
-		}
-		inst := &blk[j]
-		j++
-		res.Insts++
-
-		// --- Fetch ---------------------------------------------------
-		fetch := fetchLim.reserve(maxU(fetchReady, lastCycle0(lastRetire, cfg)))
-		// Instruction-cache access delays fetch on miss (block-granular:
-		// the hierarchy caches the line after the first access).
-		if lat := c.hier.L1I.Access(inst.IP); lat > 0 {
-			fetch += lat
-		}
-
-		// --- Dispatch: ROB + scheduler occupancy ----------------------
-		dispatch := fetch + cfg.FrontDepth
-		if r := robRelease[robIdx]; r > dispatch {
-			dispatch = r
-		}
-		if r := schedRelease[schedIdx]; r > dispatch {
-			dispatch = r
-		}
-		if inst.Kind == trace.KindLoad {
-			if r := lqRelease[lqIdx]; r > dispatch {
-				dispatch = r
-			}
-		}
-		if inst.Kind == trace.KindStore {
-			if r := sqRelease[sqIdx]; r > dispatch {
-				dispatch = r
-			}
-		}
-
-		// --- Issue: operand readiness + issue bandwidth ---------------
-		ready := dispatch
-		for _, r := range inst.SrcRegs {
-			if r != trace.NoReg && regReady[r] > ready {
-				ready = regReady[r]
-			}
-		}
-		issue := issueLim.reserve(ready)
-
-		// --- Execute ---------------------------------------------------
-		var done uint64
-		switch inst.Kind {
-		case trace.KindLoad:
-			lat := c.hier.L1D.Access(inst.MemAddr)
-			// Store-to-load forwarding: a recent store to the same block
-			// bounds the load's completion from below.
-			block := inst.MemAddr >> 3
-			fwd := uint64(0)
-			for i := range storeAddr {
-				if storeAddr[i] == block && storeDone[i] > fwd {
-					fwd = storeDone[i]
-				}
-			}
-			done = maxU(issue+lat, fwd)
-		case trace.KindStore:
-			done = issue + execLatency(inst.Kind)
-			storeAddr[sqIdx] = inst.MemAddr >> 3
-			storeDone[sqIdx] = done
-		default:
-			done = issue + execLatency(inst.Kind)
-		}
-		if inst.DstReg != trace.NoReg {
-			regReady[inst.DstReg] = done
-		}
-
-		// --- Branch handling -------------------------------------------
-		if inst.Kind == trace.KindCondBr {
-			res.CondExecs++
-			pred := inst.Taken
-			switch {
-			case opt.PerfectBP:
-				// oracle
-			case opt.PerfectIPs != nil && opt.PerfectIPs[inst.IP]:
-				// oracle for the selected set; still train the predictor
-				// so shared history matches deployment.
-				if opt.Predictor != nil {
-					p := opt.Predictor.Predict(inst.IP)
-					train(inst.IP, inst.Target, inst.Taken, p)
-				}
-			case opt.MinExecsPerfect > 0 && execCounts[inst.IP] >= opt.MinExecsPerfect:
-				if opt.Predictor != nil {
-					p := opt.Predictor.Predict(inst.IP)
-					train(inst.IP, inst.Target, inst.Taken, p)
-				}
-			case opt.Predictor != nil:
-				pred = opt.Predictor.Predict(inst.IP)
-				train(inst.IP, inst.Target, inst.Taken, pred)
-			}
-			if opt.MinExecsPerfect > 0 {
-				execCounts[inst.IP]++
-			}
-			if pred != inst.Taken {
-				res.Mispreds++
-				// Wrong-path fetch is squashed when the branch resolves;
-				// fetch restarts after the redirect penalty.
-				if nr := done + cfg.RedirectPenalty; nr > fetchReady {
-					fetchReady = nr
-				}
-			}
-			if opt.BranchHook != nil {
-				opt.BranchHook(inst.IP, inst.Target, inst.Taken, pred)
-			}
-		} else if inst.Kind.IsBranch() {
-			if predBO != nil && !opt.PerfectBP {
-				predBO.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
-			}
-		}
-
-		// Target prediction: a taken branch whose target the BTB/RAS did
-		// not produce at fetch costs a decode-redirect bubble.
-		if c.btb != nil && inst.Kind.IsBranch() {
-			predTarget, hit := c.btb.Lookup(inst.IP, inst.Kind)
-			if !c.btb.Update(inst.IP, inst.Target, inst.Kind, inst.Taken, predTarget, hit) {
-				if nr := fetch + cfg.BTBMissPenalty; nr > fetchReady {
-					fetchReady = nr
-				}
-			}
-		}
-
-		// --- Retire -----------------------------------------------------
-		retire := retireLim.reserve(maxU(done+1, lastRetire))
-		lastRetire = retire
-		lastCycle = maxU(lastCycle, retire)
-
-		// Release bounded structures.
-		robRelease[robIdx] = retire
-		robIdx++
-		if robIdx == cfg.ROBSize {
-			robIdx = 0
-		}
-		schedRelease[schedIdx] = issue
-		schedIdx++
-		if schedIdx == cfg.SchedSize {
-			schedIdx = 0
-		}
-		if inst.Kind == trace.KindLoad {
-			lqRelease[lqIdx] = done
-			lqIdx++
-			if lqIdx == cfg.LQSize {
-				lqIdx = 0
-			}
-		}
-		if inst.Kind == trace.KindStore {
-			sqRelease[sqIdx] = retire
-			sqIdx++
-			if sqIdx == cfg.SQSize {
-				sqIdx = 0
-			}
+	var raw, miss *core.MispredictMap
+	var o *oracle
+	if p != nil {
+		raw = &core.MispredictMap{}
+		miss = raw
+		if o = newOracle(opt); o != nil {
+			miss = &core.MispredictMap{}
 		}
 	}
-
-	res.Cycles = lastCycle
-	if res.Cycles > 0 {
-		res.IPC = float64(res.Insts) / float64(res.Cycles)
+	var rec []uint8
+	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+		if cap(rec) < len(blk) {
+			rec = make([]uint8, len(blk))
+		}
+		rec = rec[:len(blk)]
+		c.ann.block(blk, rec)
+		if raw != nil {
+			raw.PredictBlock(p, blk)
+			if o != nil {
+				o.block(blk, raw, miss)
+			}
+		}
+		t.block(blk, rec, miss)
 	}
-	if res.Insts > 0 {
-		res.MPKI = 1000 * float64(res.Mispreds) / float64(res.Insts)
-		res.L1DMissPKI = 1000 * float64(c.hier.L1D.Stats().Misses) / float64(res.Insts)
-	}
-	return res
-}
-
-// targetTrainer mirrors core's optional target-aware training interface;
-// Run resolves it once per timed run rather than per branch.
-type targetTrainer interface {
-	TrainWithTarget(ip, target uint64, taken, pred bool)
+	return t.result(c.ann.hier.L1D.Stats().Misses)
 }
 
 func maxU(a, b uint64) uint64 {
@@ -461,14 +218,4 @@ func maxU(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// lastCycle0 bounds fetch from below so that fetch cannot fall
-// unboundedly behind retirement bookkeeping (keeps the width-limiter ring
-// windows aligned).
-func lastCycle0(lastRetire uint64, cfg Config) uint64 {
-	if lastRetire > uint64(cfg.ROBSize)+cfg.FrontDepth+widthWindow/2 {
-		return lastRetire - uint64(cfg.ROBSize) - cfg.FrontDepth - widthWindow/2
-	}
-	return 0
 }

@@ -5,6 +5,7 @@ import (
 
 	"branchlab/internal/bp"
 	"branchlab/internal/btb"
+	"branchlab/internal/core"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/xrand"
@@ -180,23 +181,32 @@ func TestMinExecsPerfectOracle(t *testing.T) {
 	}
 }
 
-func TestBranchHookSeesEveryCondBranch(t *testing.T) {
-	var hooks, takens uint64
-	opt := Options{
-		Predictor: bp.NewBimodal(10),
-		BranchHook: func(ip, target uint64, taken, pred bool) {
-			hooks++
-			if taken {
-				takens++
-			}
-		},
+func TestMispredictMapSeesEveryCondBranch(t *testing.T) {
+	tr := branchyTrace(80000, 7, 0.7)
+	res := New(Skylake()).Run(tr.Stream(), Options{Predictor: bp.NewBimodal(10)})
+	m := core.RunMispredicts(trace.AsBlocks(tr.Stream(), 0), bp.NewBimodal(10))
+	if m.Len() != res.CondExecs || m.Count() != res.Mispreds {
+		t.Errorf("map covers %d branches with %d mispredictions, run saw %d/%d",
+			m.Len(), m.Count(), res.CondExecs, res.Mispreds)
 	}
-	res := New(Skylake()).Run(branchyTrace(80000, 7, 0.7).Stream(), opt)
-	if hooks != res.CondExecs {
-		t.Errorf("hook calls %d != cond execs %d", hooks, res.CondExecs)
+	if m.Count() == 0 || m.Count() == m.Len() {
+		t.Errorf("misprediction mix looks wrong: %d/%d", m.Count(), m.Len())
 	}
-	if takens == 0 || takens == hooks {
-		t.Errorf("taken mix looks wrong: %d/%d", takens, hooks)
+	// Bit k is the k-th conditional branch's outcome under a fresh
+	// replay of the same predictor.
+	p := bp.NewBimodal(10)
+	var k uint64
+	var inst trace.Inst
+	for s := tr.Stream(); s.Next(&inst); {
+		if inst.Kind != trace.KindCondBr {
+			continue
+		}
+		pred := p.Predict(inst.IP)
+		p.Train(inst.IP, inst.Taken, pred)
+		if m.Mispredicted(k) != (pred != inst.Taken) {
+			t.Fatalf("bit %d = %v, replay mispredicted %v", k, m.Mispredicted(k), pred != inst.Taken)
+		}
+		k++
 	}
 }
 

@@ -28,6 +28,46 @@ var magic = [4]byte{'B', 'L', 'T', '1'}
 // expected header.
 var ErrBadMagic = errors.New("trace: bad magic (not a BLT1 trace file)")
 
+// ErrMalformed classifies records that are well framed but describe an
+// instruction the model cannot hold: an unknown kind, a register index
+// outside [0, NumRegs) that is not NoReg, or a field the kind cannot
+// carry. Writer refuses to produce such records and Reader refuses to
+// decode them, so every consumer may index register state directly.
+// The concrete error is a *RecordError.
+var ErrMalformed = errors.New("trace: malformed record")
+
+// RecordError reports a malformed record: its zero-based position in
+// the stream and what is wrong with it. It matches ErrMalformed under
+// errors.Is.
+type RecordError struct {
+	Index  uint64
+	Reason string
+}
+
+func (e *RecordError) Error() string {
+	return fmt.Sprintf("trace: record %d: %s", e.Index, e.Reason)
+}
+
+// Unwrap makes every RecordError match ErrMalformed.
+func (e *RecordError) Unwrap() error { return ErrMalformed }
+
+// validReg reports whether r can name a register slot: an index into
+// the register file, or NoReg.
+func validReg(r uint8) bool { return r < NumRegs || r == NoReg }
+
+// checkRegs returns why inst's register fields are malformed, or "".
+func checkRegs(inst *Inst) string {
+	if !validReg(inst.DstReg) {
+		return fmt.Sprintf("destination register %d outside [0, %d)", inst.DstReg, NumRegs)
+	}
+	for _, r := range inst.SrcRegs {
+		if !validReg(r) {
+			return fmt.Sprintf("source register %d outside [0, %d)", r, NumRegs)
+		}
+	}
+	return ""
+}
+
 const (
 	flagTaken  = 1 << 4
 	flagHasMem = 1 << 5
@@ -41,6 +81,7 @@ type Writer struct {
 	w      *bufio.Writer
 	lastIP uint64
 	wrote  bool
+	n      uint64 // records written
 	buf    [8 * binary.MaxVarintLen64]byte
 }
 
@@ -54,10 +95,15 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// WriteInst appends one instruction to the trace.
+// WriteInst appends one instruction to the trace. An instruction the
+// Reader would reject (invalid kind or register index) is refused with
+// a *RecordError and nothing is written.
 func (w *Writer) WriteInst(inst *Inst) error {
 	if !inst.Kind.Valid() {
-		return fmt.Errorf("trace: invalid kind %d", inst.Kind)
+		return &RecordError{Index: w.n, Reason: fmt.Sprintf("invalid kind %d", inst.Kind)}
+	}
+	if why := checkRegs(inst); why != "" {
+		return &RecordError{Index: w.n, Reason: why}
 	}
 	if !w.wrote {
 		if _, err := w.w.Write(magic[:]); err != nil {
@@ -100,6 +146,7 @@ func (w *Writer) WriteInst(inst *Inst) error {
 		b = append(b, inst.SrcRegs[0], inst.SrcRegs[1])
 	}
 	_, err := w.w.Write(b)
+	w.n++
 	return err
 }
 
@@ -121,6 +168,7 @@ type Reader struct {
 	r      *bufio.Reader
 	lastIP uint64
 	opened bool
+	n      uint64 // records decoded
 	err    error
 }
 
@@ -179,8 +227,10 @@ func (r *Reader) Next(inst *Inst) bool {
 		SrcRegs: [2]uint8{NoReg, NoReg},
 	}
 	if !inst.Kind.Valid() {
-		r.err = fmt.Errorf("trace: invalid kind %d in stream", inst.Kind)
-		return false
+		return r.malformed(fmt.Sprintf("invalid kind %d", inst.Kind))
+	}
+	if flags&flagHasMem != 0 && inst.Kind != KindLoad && inst.Kind != KindStore {
+		return r.malformed(fmt.Sprintf("memory operand on a %v instruction", inst.Kind))
 	}
 	du, err := binary.ReadUvarint(r.r)
 	if err != nil {
@@ -205,6 +255,9 @@ func (r *Reader) Next(inst *Inst) bool {
 		if inst.DstValue, err = binary.ReadUvarint(r.r); err != nil {
 			return r.fail(err)
 		}
+		if inst.DstReg == NoReg {
+			return r.malformed("destination flag without a destination register")
+		}
 	}
 	if flags&flagHasSrc != 0 {
 		if inst.SrcRegs[0], err = r.r.ReadByte(); err != nil {
@@ -214,5 +267,15 @@ func (r *Reader) Next(inst *Inst) bool {
 			return r.fail(err)
 		}
 	}
+	if why := checkRegs(inst); why != "" {
+		return r.malformed(why)
+	}
+	r.n++
 	return true
+}
+
+// malformed records a *RecordError for the record being decoded.
+func (r *Reader) malformed(reason string) bool {
+	r.err = &RecordError{Index: r.n, Reason: reason}
+	return false
 }

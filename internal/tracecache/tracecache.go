@@ -776,9 +776,11 @@ func (c *Cache) pin(e *entry, si int) []trace.Inst {
 // screenings, IPC cells) that are deterministic functions of cached
 // traces and configuration — results small enough that, unlike traces,
 // they are exempt from the LRU cap and never evicted. (The largest
-// memoized values are screening collectors, roughly 1% of the footprint
-// of the trace they summarize; retaining every one for an invocation is
-// deliberate and costs far less than a single extra trace.) Inputs
+// memoized values are the pipeline model's per-trace annotations, one
+// byte per instruction or 1/40 of the trace they summarize, then the
+// screening collectors at roughly 1%; retaining every one for an
+// invocation is deliberate and costs far less than a single extra
+// trace.) Inputs
 // served from re-materialized slices are byte-identical to the original
 // recording, so a memo computed before an eviction is still exact for
 // every caller after it. Callers must treat returned values as

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR9.json,
-# and diff the replay-loop benchmarks against the previous PR's
-# committed baseline (BENCH_PR8.json) so regressions in the block
-# pipeline fail loudly.
+# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR12.json,
+# and diff the replay-loop benchmarks against the previous committed
+# baseline (BENCH_PR9.json) so regressions in the block pipeline fail
+# loudly.
 #
 # Tracked benchmarks (the perf trajectory of the replay refactors):
 #   BenchmarkRunAll/cache={off,on}      - full `-run all` registry, uncached vs cached;
@@ -28,10 +28,18 @@
 #                                       - evicted-slice refill: prefix skim vs
 #                                         checkpoint resume; ckpt must be
 #                                         position-independent (O(window))
+#   BenchmarkPipeline{Annotate,Predict,Time}
+#                                       - the layered pipeline model's stages on one
+#                                         trace: cache/BTB annotation, TAGE-SC-L 8KB
+#                                         misprediction map, 1x timing recurrence
+#   BenchmarkPipelineSweep/{layered,reference}
+#                                       - one trace's 3-scale x 4-regime IPC sweep:
+#                                         shared stages + per-cell timing vs the
+#                                         fused pipeline.Reference model per cell
 #   BenchmarkFig5Parallel/workers=N     - engine scaling (meaningful on multi-core hosts)
 #   BenchmarkRecordSharded/shards=N     - sharded deterministic trace recording
 #
-# Three regression checks run after the benchmarks:
+# Four regression checks run after the benchmarks:
 #   1. Intra-run gate (host-independent): the block replay loop
 #      (CoreRun/observers=off) is compared against the pre-block
 #      per-instruction reference compiled into the same binary and run
@@ -45,7 +53,12 @@
 #      reference engine in the same binary and run
 #      (TAGEPredictTrain/tage-reference). The packed engine exists to
 #      be faster; a ratio above TAGE_MAX fails the script.
-#   3. Cross-run diff vs the committed BENCH_PR8.json baseline:
+#   3. Layering gate (host-independent, same shape as 1): the layered
+#      IPC sweep (PipelineSweep/layered) against the fused reference
+#      model on the same sweep (PipelineSweep/reference). Annotating
+#      and predicting once per trace exists to make the sweep cheaper;
+#      a ratio above PIPE_MAX fails the script.
+#   4. Cross-run diff vs the committed BENCH_PR9.json baseline:
 #      printed for trend tracking; it only FAILS when BASELINE_GATE=1,
 #      because absolute ns/op from a different host (e.g. a CI runner
 #      vs the machine that recorded the baseline) cannot gate
@@ -65,23 +78,25 @@
 #                                            # the first iteration)
 #   BLOCK_MAX=1.5 scripts/bench.sh           # loosen the replay intra-run gate
 #   TAGE_MAX=0.9 scripts/bench.sh            # tighten the engine gate
+#   PIPE_MAX=0.5 scripts/bench.sh            # tighten the layering gate
 #   BASELINE_GATE=1 REGRESSION_MAX=1.3 ...   # enforce the baseline diff
 #   BASELINE=/dev/null scripts/bench.sh      # skip the baseline diff
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
-out="${1:-BENCH_PR9.json}"
+out="${1:-BENCH_PR12.json}"
 benchtime="${BENCHTIME:-1s}"
-baseline="${BASELINE:-BENCH_PR8.json}"
+baseline="${BASELINE:-BENCH_PR9.json}"
 regmax="${REGRESSION_MAX:-1.30}"
 blockmax="${BLOCK_MAX:-1.25}"
 tagemax="${TAGE_MAX:-1.00}"
+pipemax="${PIPE_MAX:-1.00}"
 basegate="${BASELINE_GATE:-0}"
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$' \
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkPipeline(Annotate|Predict|Time|Sweep)$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$' \
   -benchtime "$benchtime" . | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
@@ -118,6 +133,11 @@ BenchmarkCoreRun/observers=on
 BenchmarkCoreRun/perinst-reference
 BenchmarkTAGEPredictTrain/packed
 BenchmarkTAGEPredictTrain/tage-reference
+BenchmarkPipelineAnnotate
+BenchmarkPipelinePredict
+BenchmarkPipelineTime
+BenchmarkPipelineSweep/layered
+BenchmarkPipelineSweep/reference
 BenchmarkTraceCacheHit
 BenchmarkTraceCacheSlicedReplay/resident
 BenchmarkTraceCacheSlicedReplay/evicted
@@ -189,7 +209,28 @@ elif [ "$(awk -v r="$ratio" -v m="$tagemax" 'BEGIN { print (r > m) ? 1 : 0 }')" 
   exit 1
 fi
 
-# 3. Cross-run diff vs the committed baseline (RunAll, CoreRun,
+# 3. Layering gate: the layered IPC sweep vs the fused reference model
+# on the same sweep, same binary and run. Host-independent, same
+# single-iteration caveat as gate 1. PIPE_MAX defaults to 1.00 — the
+# layered model must at minimum beat the fused one it replaced.
+layered_ns="$(parse "$out" | awk '$1 == "BenchmarkPipelineSweep/layered" { print $2 }')"
+fused_ns="$(parse "$out" | awk '$1 == "BenchmarkPipelineSweep/reference" { print $2 }')"
+layered_it="$(parseiters "$out" 'BenchmarkPipelineSweep\/layered')"
+fused_it="$(parseiters "$out" 'BenchmarkPipelineSweep\/reference')"
+if [ -z "$layered_ns" ] || [ -z "$fused_ns" ]; then
+  echo "bench.sh: could not parse the layering gate samples from $out" >&2
+  exit 1
+fi
+ratio="$(awk -v a="$layered_ns" -v b="$fused_ns" 'BEGIN { printf "%.3f", a/b }')"
+echo "layered pipeline sweep vs fused reference (same run): ${ratio}x (gate ${pipemax}x)" >&2
+if [ "${layered_it:-0}" -lt 3 ] || [ "${fused_it:-0}" -lt 3 ]; then
+  echo "  (single-sample timings — gate reported, not enforced; use BENCHTIME>=3x to enforce)" >&2
+elif [ "$(awk -v r="$ratio" -v m="$pipemax" 'BEGIN { print (r > m) ? 1 : 0 }')" = 1 ]; then
+  echo "bench.sh: layered pipeline sweep is ${ratio}x the fused reference (max ${pipemax}x) — layering regression" >&2
+  exit 1
+fi
+
+# 4. Cross-run diff vs the committed baseline (RunAll, CoreRun,
 # RecordSharded; the other benchmarks are new in this PR or measure a
 # path whose work changed shape between PRs and so have no comparable
 # baseline). Printed for trend tracking; enforced only with
