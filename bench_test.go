@@ -290,14 +290,22 @@ func BenchmarkPipelinePredict(b *testing.B) {
 	}
 }
 
-func BenchmarkPipelineTime(b *testing.B) {
+func BenchmarkPipelineTime(b *testing.B) { benchPipelineTime(b, 1) }
+
+// BenchmarkPipelineTime16x is BenchmarkPipelineTime at 16x, where 96
+// instructions may issue per cycle: the issue ring limiter probes
+// wide cycles and the store forwarder spans an 896-entry queue.
+func BenchmarkPipelineTime16x(b *testing.B) { benchPipelineTime(b, 16) }
+
+func benchPipelineTime(b *testing.B, scale int) {
 	tr := pipelineBenchTrace(b)
 	a := pipeline.Annotate(pipeline.Skylake(), tr)
 	miss := core.RunMispredicts(tr.BlockStream(0), tage.New(tage.Config8KB()))
+	cfg := pipeline.Skylake().Scaled(scale)
 	b.SetBytes(int64(tr.Len()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pipeline.Time(pipeline.Skylake(), tr, a, miss)
+		pipeline.Time(cfg, tr, a, miss)
 	}
 }
 

@@ -154,7 +154,8 @@ func main() {
 }
 
 // parseScales parses the -pipeline flag: "" or "0" disables the timing
-// model; "4" or "1,4,16" selects the scales to sweep.
+// model; "4" or "1,4,16" selects the scales to sweep. A scale whose
+// widths the timing model cannot count (pipeline.MaxWidth) is rejected.
 func parseScales(s string) ([]int, error) {
 	s = strings.TrimSpace(s)
 	if s == "" || s == "0" {
@@ -165,6 +166,9 @@ func parseScales(s string) ([]int, error) {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v < 1 {
 			return nil, fmt.Errorf("bad -pipeline scale %q", part)
+		}
+		if err := pipeline.Skylake().Scaled(v).Validate(); err != nil {
+			return nil, fmt.Errorf("bad -pipeline scale %q: %w", part, err)
 		}
 		out = append(out, v)
 	}

@@ -2,6 +2,7 @@ package cnn
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,17 +22,22 @@ import (
 //
 //	magic    [4]byte "BLH1"
 //	config   histLen, buckets, filters, segments (uvarint each)
-//	bias     float32 bits (uvarint)
-//	scale2   float32 bits (uvarint)
+//	bias     float32 bits (4 bytes, little-endian)
+//	scale2   float32 bits (4 bytes, little-endian)
 //	q2       segments*filters bytes (int8 + 2)
-//	scale1   2*buckets float32 bits (uvarint each)
-//	q1       2*buckets rows of filters bytes (int8 + 2)
+//	q1       2*buckets rows, each a scale1 entry (float32 bits, 4 bytes,
+//	         little-endian) followed by filters bytes (int8 + 2)
 
 var helperMagic = [4]byte{'B', 'L', 'H', '1'}
 
 // ErrBadHelperFile is returned when decoding a stream that is not a
 // serialized helper model.
 var ErrBadHelperFile = errors.New("cnn: bad magic (not a BLH1 helper model)")
+
+// ErrTruncatedHelper is matched (errors.Is) by the error ReadModel
+// returns when the stream ends inside a helper model; the error also
+// matches io.ErrUnexpectedEOF.
+var ErrTruncatedHelper = errors.New("cnn: truncated helper model")
 
 // WriteTo serializes the quantized model. It fails if the model has not
 // been trained (there is nothing deployable to write).
@@ -97,78 +103,92 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 
 // ReadModel deserializes a helper model written by WriteTo. The returned
 // model predicts with the stored quantized weights; it cannot be further
-// trained (the float state is not persisted).
+// trained (the float state is not persisted). The header's geometry is
+// only a claim: the weights grow as they are read, so a hostile header
+// costs no more memory than the bytes that follow it.
 func ReadModel(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
+		return nil, readErr("magic", err)
 	}
 	if hdr != helperMagic {
 		return nil, ErrBadHelperFile
 	}
-	readUv := func() (uint64, error) { return binary.ReadUvarint(br) }
-	readF32 := func() (float32, error) {
+	readF32 := func(what string) (float32, error) {
 		var b [4]byte
 		if _, err := io.ReadFull(br, b[:]); err != nil {
-			return 0, err
+			return 0, readErr(what, err)
 		}
 		return floatFrom(binary.LittleEndian.Uint32(b[:])), nil
 	}
-	var cfg Config
-	vals := make([]uint64, 4)
+	var vals [4]int
 	for i := range vals {
-		v, err := readUv()
+		v, err := binary.ReadUvarint(br)
 		if err != nil {
-			return nil, err
+			return nil, readErr("geometry", err)
 		}
-		vals[i] = v
+		vals[i] = int(min(v, math.MaxInt32))
 	}
-	cfg.HistLen, cfg.Buckets = int(vals[0]), int(vals[1])
-	cfg.Filters, cfg.Segments = int(vals[2]), int(vals[3])
+	cfg := Config{HistLen: vals[0], Buckets: vals[1], Filters: vals[2], Segments: vals[3]}
 	if cfg.HistLen <= 0 || cfg.Buckets <= 0 || cfg.Filters <= 0 || cfg.Segments <= 0 ||
 		cfg.HistLen > 1<<16 || cfg.Buckets > 1<<20 || cfg.Filters > 1<<12 || cfg.Segments > 1<<12 {
 		return nil, fmt.Errorf("cnn: implausible helper geometry %+v", cfg)
 	}
 	m := &Model{Cfg: cfg, quantized: true}
 	var err error
-	if m.b, err = readF32(); err != nil {
+	if m.b, err = readF32("bias"); err != nil {
 		return nil, err
 	}
-	if m.scale2, err = readF32(); err != nil {
+	if m.scale2, err = readF32("output scale"); err != nil {
 		return nil, err
 	}
-	q2b := make([]byte, cfg.Segments*cfg.Filters)
-	if _, err := io.ReadFull(br, q2b); err != nil {
+	// io.CopyN into a bytes.Buffer grows the buffer as bytes arrive.
+	var q2b bytes.Buffer
+	if _, err := io.CopyN(&q2b, br, int64(cfg.Segments*cfg.Filters)); err != nil {
+		return nil, readErr("output weights", err)
+	}
+	if m.q2, err = levels(q2b.Bytes()); err != nil {
 		return nil, err
 	}
-	m.q2 = make([]int8, len(q2b))
-	for i, b := range q2b {
-		m.q2[i] = int8(b) - 2
-		if m.q2[i] < -2 || m.q2[i] > 2 {
-			return nil, fmt.Errorf("cnn: weight level %d out of range", m.q2[i])
-		}
-	}
-	rows := 2 * cfg.Buckets
-	m.scale1 = make([]float32, rows)
-	m.q1 = make([][]int8, rows)
 	rb := make([]byte, cfg.Filters)
-	for i := 0; i < rows; i++ {
-		if m.scale1[i], err = readF32(); err != nil {
+	for i := 0; i < 2*cfg.Buckets; i++ {
+		scale, err := readF32("embedding scale")
+		if err != nil {
 			return nil, err
 		}
 		if _, err := io.ReadFull(br, rb); err != nil {
+			return nil, readErr("embedding weights", err)
+		}
+		row, err := levels(rb)
+		if err != nil {
 			return nil, err
 		}
-		m.q1[i] = make([]int8, cfg.Filters)
-		for j, b := range rb {
-			m.q1[i][j] = int8(b) - 2
-			if m.q1[i][j] < -2 || m.q1[i][j] > 2 {
-				return nil, fmt.Errorf("cnn: weight level %d out of range", m.q1[i][j])
-			}
-		}
+		m.scale1 = append(m.scale1, scale)
+		m.q1 = append(m.q1, row)
 	}
 	return m, nil
+}
+
+// levels decodes stored weight bytes (int8 + 2) into 2-bit levels.
+func levels(b []byte) ([]int8, error) {
+	q := make([]int8, len(b))
+	for i, v := range b {
+		if v > 4 {
+			return nil, fmt.Errorf("cnn: weight level %d out of range", int(v)-2)
+		}
+		q[i] = int8(v) - 2
+	}
+	return q, nil
+}
+
+// readErr reports a failed read of the named field; a stream that ends
+// early is ErrTruncatedHelper (and io.ErrUnexpectedEOF).
+func readErr(what string, err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return fmt.Errorf("%w: reading %s: %w", ErrTruncatedHelper, what, io.ErrUnexpectedEOF)
+	}
+	return fmt.Errorf("cnn: reading helper %s: %w", what, err)
 }
 
 func floatBits(f float32) uint32 { return math.Float32bits(f) }

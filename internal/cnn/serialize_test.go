@@ -2,7 +2,10 @@ package cnn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
 	"testing"
 )
 
@@ -74,7 +77,82 @@ func TestReadModelRejectsGarbage(t *testing.T) {
 	m, _ := trainedModel(t)
 	var buf bytes.Buffer
 	m.WriteTo(&buf)
-	if _, err := ReadModel(bytes.NewReader(buf.Bytes()[:20])); err == nil {
-		t.Error("truncated model accepted")
+	for _, n := range []int{0, 3, 20, buf.Len() - 1} {
+		_, err := ReadModel(bytes.NewReader(buf.Bytes()[:n]))
+		if !errors.Is(err, ErrTruncatedHelper) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("model truncated to %d bytes: %v, want ErrTruncatedHelper", n, err)
+		}
 	}
+}
+
+// helperHeader encodes a BLH1 header claiming the given geometry, with
+// zero bias and output scale.
+func helperHeader(histLen, buckets, filters, segments uint64) []byte {
+	b := append([]byte{}, helperMagic[:]...)
+	for _, v := range []uint64{histLen, buckets, filters, segments} {
+		b = binary.AppendUvarint(b, v)
+	}
+	return append(b, make([]byte, 8)...)
+}
+
+// allocatedBytes returns the bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readModelAllocBound is the most ReadModel may allocate for an input
+// of n bytes: a constant for the reader's buffers plus a linear share
+// of the weights actually present.
+func readModelAllocBound(n int) uint64 { return 64<<10 + 64*uint64(n) }
+
+// TestReadModelAllocBoundedByInput is the hostile-header regression: a
+// 4 KiB file claiming 1<<20 buckets of 4096 filters used to allocate
+// 56 MiB of tables before failing with a bare io.EOF.
+func TestReadModelAllocBoundedByInput(t *testing.T) {
+	in := append(helperHeader(64, 1<<20, 4096, 1), make([]byte, 4096)...)
+	var err error
+	n := allocatedBytes(func() { _, err = ReadModel(bytes.NewReader(in)) })
+	if !errors.Is(err, ErrTruncatedHelper) {
+		t.Errorf("ReadModel = %v, want ErrTruncatedHelper", err)
+	}
+	if bound := readModelAllocBound(len(in)); n > bound {
+		t.Errorf("%d-byte input allocated %d bytes, bound %d", len(in), n, bound)
+	}
+}
+
+// FuzzReadModel feeds arbitrary bytes to the helper-model decoder: it
+// must not panic, must allocate no more than readModelAllocBound of the
+// input, and a model it accepts must round-trip through WriteTo.
+func FuzzReadModel(f *testing.F) {
+	f.Add([]byte("NOPEnope"))
+	f.Add(helperHeader(2, 1, 1, 1))
+	f.Add(append(helperHeader(2, 1, 2, 1), 2, 2, 0, 0, 0, 0, 1, 3, 0, 0, 0, 0, 4, 0))
+	f.Add(helperHeader(64, 1<<20, 4096, 4096))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m *Model
+		var err error
+		n := allocatedBytes(func() { m, err = ReadModel(bytes.NewReader(data)) })
+		if bound := readModelAllocBound(len(data)); n > bound {
+			t.Fatalf("%d-byte input allocated %d bytes, bound %d", len(data), n, bound)
+		}
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := m.WriteTo(&out); err != nil {
+			t.Fatalf("accepted model does not serialize: %v", err)
+		}
+		again, err := ReadModel(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("serialized model rejected: %v", err)
+		}
+		var out2 bytes.Buffer
+		if _, err := again.WriteTo(&out2); err != nil || !bytes.Equal(out.Bytes(), out2.Bytes()) {
+			t.Fatalf("round trip changed the model (%v)", err)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -124,11 +126,116 @@ func TestLayeredMatchesReferenceOtherMachines(t *testing.T) {
 	}
 }
 
+// TestLayeredMatchesReferenceWideScales covers scales past 73x, where
+// the ROB no longer fits half of the minimum width-limiter window and
+// the window grows with the configuration (widthWindow), under perfect
+// prediction on every workload.
+func TestLayeredMatchesReferenceWideScales(t *testing.T) {
+	for _, s := range allWorkloads() {
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			tr := s.Record(0, layeredBudget)
+			a := Annotate(Skylake(), tr)
+			for _, k := range []int{128, 256} {
+				cfg := Skylake().Scaled(k)
+				want := Reference(cfg, tr.Stream(), Options{PerfectBP: true})
+				if got := Time(cfg, tr, a, nil); got != want {
+					t.Errorf("%dx: layered %+v != reference %+v", k, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestWidthWindowSizing pins the window rule: the minimum ring through
+// 73x (the scales the model was calibrated at keep their numbers), and
+// the smallest power of two with ROBSize+FrontDepth <= window/2 beyond.
+func TestWidthWindowSizing(t *testing.T) {
+	for _, c := range []struct {
+		k    int
+		want uint64
+	}{{1, 1 << 15}, {32, 1 << 15}, {73, 1 << 15}, {74, 1 << 16}, {146, 1 << 16}, {147, 1 << 17}, {256, 1 << 17}} {
+		if got := widthWindow(Skylake().Scaled(c.k)); got != c.want {
+			t.Errorf("%dx: window %d, want %d", c.k, got, c.want)
+		}
+	}
+}
+
+// TestInvalidConfigRejected checks that widths the 16-bit per-cycle
+// counts cannot hold, and empty queues, are rejected by Validate and
+// by every timing entry point.
+func TestInvalidConfigRejected(t *testing.T) {
+	maxK := MaxWidth / Skylake().IssueWidth
+	if err := Skylake().Scaled(maxK).Validate(); err != nil {
+		t.Errorf("%dx rejected: %v", maxK, err)
+	}
+	wideIssue := Skylake()
+	wideIssue.Name, wideIssue.IssueWidth = "wide-issue", MaxWidth+1
+	noSQ := Skylake()
+	noSQ.Name, noSQ.SQSize = "no-sq", 0
+	tr := branchyTrace(100, 1, 0.5)
+	a := Annotate(Skylake(), tr)
+	for _, cfg := range []Config{Skylake().Scaled(maxK + 1), wideIssue, noSQ} {
+		if err := cfg.Validate(); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("%s: Validate = %v, want ErrInvalidConfig", cfg.Name, err)
+		}
+		for name, run := range map[string]func(){
+			"Time":      func() { Time(cfg, tr, a, nil) },
+			"Reference": func() { Reference(cfg, tr.Stream(), Options{PerfectBP: true}) },
+			"Run":       func() { New(cfg).Run(tr.Stream(), Options{PerfectBP: true}) },
+		} {
+			func() {
+				defer func() {
+					if err, _ := recover().(error); !errors.Is(err, ErrInvalidConfig) {
+						t.Errorf("%s %s: panic %v, want ErrInvalidConfig", cfg.Name, name, err)
+					}
+				}()
+				run()
+			}()
+		}
+	}
+}
+
+// stepRequests times tr one instruction at a time and checks the
+// frontier limiters' contract on every request: fetch and retire
+// requests never decrease, and fetch's latest claim is less than a
+// window ahead of its next request (the ring it replaced never
+// aliases). The stepped run must also return Time's Result.
+func stepRequests(t *testing.T, cfg Config, tr *trace.Buffer, a *Annotation, miss *core.MispredictMap) {
+	t.Helper()
+	tm := newTimer(cfg, a.iLat, a.dLat)
+	window := widthWindow(cfg)
+	var fetch, retire uint64
+	bs := tr.BlockStream(0)
+	i := 0
+	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+		for j := range blk {
+			claimed := tm.fetchLim.cur
+			tm.block(blk[j:j+1], a.rec[i:i+1], miss)
+			i++
+			f, r := tm.fetchLim.last, tm.retireLim.last
+			if f < fetch || r < retire {
+				t.Fatalf("%s instruction %d: fetch request %d after %d, retire request %d after %d",
+					cfg.Name, i, f, fetch, r, retire)
+			}
+			if claimed >= f+window {
+				t.Fatalf("%s instruction %d: fetch request %d a window behind claim %d", cfg.Name, i, f, claimed)
+			}
+			fetch, retire = f, r
+		}
+	}
+	if got, want := tm.result(a.l1dMisses), Time(cfg, tr, a, miss); got != want {
+		t.Errorf("%s: stepped %+v != Time %+v", cfg.Name, got, want)
+	}
+}
+
 // TestTimingInvariants checks properties any sound timing model has,
 // over every workload: the prediction stage agrees with core.Run; IPC
 // never exceeds the fetch width; perfect prediction is never slower
 // than a real predictor at the same scale; and under perfect
-// prediction a wider machine is never slower.
+// prediction a wider machine is never slower. It also checks the
+// precondition of the frontier limiters: fetch and retire requests are
+// non-decreasing (stepRequests).
 func TestTimingInvariants(t *testing.T) {
 	scales := []int{1, 2, 4, 8, 16, 32}
 	for _, s := range allWorkloads() {
@@ -147,6 +254,8 @@ func TestTimingInvariants(t *testing.T) {
 				cfg := Skylake().Scaled(k)
 				perfect := Time(cfg, tr, a, nil)
 				pred := Time(cfg, tr, a, miss)
+				stepRequests(t, cfg, tr, a, nil)
+				stepRequests(t, cfg, tr, a, miss)
 				if pred.Mispreds != st.Mispreds {
 					t.Errorf("%dx: timed %d mispredictions, core.Run %d", k, pred.Mispreds, st.Mispreds)
 				}
@@ -267,44 +376,119 @@ func TestStoreForwarderMatchesScan(t *testing.T) {
 	}
 }
 
-// TestWidthLimiterMatchesReference drives the epoch-tagged, skip-ahead
-// limiter and the reference's eagerly cleared, linearly probed one with
-// the same request sequences — non-decreasing like fetch, jittering
-// like issue, and with jumps past the ring and requests old enough to
-// alias a newer cycle's slot — and requires identical claims.
+// TestWidthLimiterMatchesReference drives the stage-C limiters and the
+// reference's eagerly cleared, linearly probed one with the same request
+// sequences and requires identical claims: the two-word frontier
+// limiter on non-decreasing streams like fetch and retire (with jumps
+// past the ring), and the packed ring limiter on those, on streams
+// jittering like issue, and on streams with requests old enough to
+// alias a newer cycle's slot.
 func TestWidthLimiterMatchesReference(t *testing.T) {
 	for _, mode := range []string{"monotone", "jitter", "alias"} {
 		for _, limit := range []int{1, 2, 6, 96} {
 			t.Run(fmt.Sprintf("%s/limit=%d", mode, limit), func(t *testing.T) {
-				rng := xrand.New(uint64(limit) + uint64(len(mode)))
-				w, ref := newWidthLimiter(limit), newRefLimiter(limit)
-				var base uint64
-				for op := 0; op < 200000; op++ {
-					want := base
-					switch mode {
-					case "monotone":
-						base += rng.Uint64() % 3
-						if rng.Bool(0.001) {
-							base += widthWindow + rng.Uint64()%widthWindow
+				for _, window := range []uint64{minWidthWindow, 64} {
+					t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+						rng := xrand.New(uint64(limit) + uint64(len(mode)) + window)
+						ring, ref := newRingLimiter(limit, window), newRefLimiter(limit, window)
+						front := newFrontierLimiter(limit)
+						var base uint64
+						for op := 0; op < 200000; op++ {
+							want := base
+							switch mode {
+							case "monotone":
+								base += rng.Uint64() % 3
+								if rng.Bool(0.001) {
+									base += window + rng.Uint64()%window
+								}
+								// Stay within the frontier limiter's contract,
+								// as the pipeline's window sizing does: claims
+								// less than a window ahead of every request.
+								if front.cur >= base+window {
+									base = front.cur - window/2
+								}
+								want = base
+							case "jitter":
+								if rng.Intn(limit) == 0 { // about limit/1.5 requests per cycle
+									base += 1 + rng.Uint64()%2
+								}
+								want = base + rng.Uint64()%64
+							case "alias":
+								base += rng.Uint64() % 4
+								want = base + rng.Uint64()%16
+								if rng.Bool(0.01) && base > 2*window {
+									want = base - window - rng.Uint64()%window
+								}
+							}
+							exp := ref.reserve(want)
+							if got := ring.reserve(want); got != exp {
+								t.Fatalf("op %d: ring reserve(%d) = %d, reference %d", op, want, got, exp)
+							}
+							if mode != "monotone" {
+								continue
+							}
+							if got := front.reserve(want); got != exp {
+								t.Fatalf("op %d: frontier reserve(%d) = %d, reference %d", op, want, got, exp)
+							}
 						}
-						want = base
-					case "jitter":
-						if rng.Intn(limit) == 0 { // about limit/1.5 requests per cycle
-							base += 1 + rng.Uint64()%2
-						}
-						want = base + rng.Uint64()%64
-					case "alias":
-						base += rng.Uint64() % 4
-						want = base + rng.Uint64()%16
-						if rng.Bool(0.01) && base > 2*widthWindow {
-							want = base - widthWindow - rng.Uint64()%widthWindow
-						}
-					}
-					if got, exp := w.reserve(want), ref.reserve(want); got != exp {
-						t.Fatalf("op %d: reserve(%d) = %d, reference %d", op, want, got, exp)
-					}
+					})
 				}
 			})
 		}
 	}
+}
+
+// FuzzWidthLimiters decodes a limit, a ring window and a stream of
+// signed request deltas, and requires the reference limiter's claims
+// from the ring limiter on the raw stream and from the frontier limiter
+// on its prefix maximum (the non-decreasing stream fetch and retire
+// make). The frontier comparison stops where the stream leaves that
+// limiter's contract: claims a full window ahead of a request, which
+// the pipeline rules out by sizing the window (widthWindow). Requests
+// stay within four windows of the highest one, which still aliases but
+// keeps both limiters' linear probes short, and at most 4096 requests
+// are decoded, so every input runs quickly.
+func FuzzWidthLimiters(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 0, 1, 0, 0xff, 0xff, 3, 0})
+	f.Add([]byte{3, 2, 0, 0, 0, 0, 0, 0, 0x40, 0, 0xc0, 0xff, 2, 0})
+	f.Add([]byte{1, 11, 0, 0x80, 5, 0, 0x10, 0x80, 0xf0, 0x7f})
+	// Limit 1, a 16-cycle window, forty one-cycle steps, then a request
+	// 35 cycles back, whose slots newer cycles own.
+	alias := []byte{0, 0}
+	for i := 0; i < 40; i++ {
+		alias = append(alias, 1, 0)
+	}
+	f.Add(append(alias, 0xdd, 0xff))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		limit := []int{1, 2, 3, 6, 96}[int(data[0])%5]
+		window := uint64(16) << (data[1] % 8)
+		ring, rawRef := newRingLimiter(limit, window), newRefLimiter(limit, window)
+		front, maxRef := newFrontierLimiter(limit), newRefLimiter(limit, window)
+		frontOK := true
+		var raw, prefixMax uint64
+		for i := 2; i+1 < min(len(data), 2+2*4096); i += 2 {
+			d := int64(int16(binary.LittleEndian.Uint16(data[i:])))
+			if d < 0 && uint64(-d) > raw {
+				raw = 0
+			} else {
+				raw = uint64(int64(raw) + d)
+			}
+			if raw+4*window < prefixMax {
+				raw = prefixMax - 4*window
+			}
+			if got, exp := ring.reserve(raw), rawRef.reserve(raw); got != exp {
+				t.Fatalf("request %d: ring reserve(%d) = %d, reference %d", i/2, raw, got, exp)
+			}
+			prefixMax = max(prefixMax, raw)
+			if frontOK = frontOK && front.cur < prefixMax+window; !frontOK {
+				continue
+			}
+			if got, exp := front.reserve(prefixMax), maxRef.reserve(prefixMax); got != exp {
+				t.Fatalf("request %d: frontier reserve(%d) = %d, reference %d", i/2, prefixMax, got, exp)
+			}
+		}
+	})
 }

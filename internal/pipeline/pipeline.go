@@ -28,7 +28,9 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
+	"math"
 
 	"branchlab/internal/bp"
 	"branchlab/internal/btb"
@@ -107,6 +109,46 @@ func (c Config) Scaled(k int) Config {
 	s.SQSize *= k
 	s.ScaleFactor = k
 	return s
+}
+
+// MaxWidth is the largest fetch, issue or retire width the model can
+// time: the width limiters count a cycle's events in 16 bits.
+const MaxWidth = 1<<countBits - 1
+
+// ErrInvalidConfig is matched (errors.Is) by every error Validate
+// returns.
+var ErrInvalidConfig = errors.New("pipeline: invalid config")
+
+// Validate reports whether the model can time c: every width in
+// [1, MaxWidth], and every queue at least one entry and at most
+// math.MaxInt32 (the store forwarder's slot index). Skylake().Scaled(k)
+// is valid up to k = MaxWidth/6.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"fetch width", c.FetchWidth, MaxWidth},
+		{"issue width", c.IssueWidth, MaxWidth},
+		{"retire width", c.RetireWidth, MaxWidth},
+		{"ROB size", c.ROBSize, math.MaxInt32},
+		{"scheduler size", c.SchedSize, math.MaxInt32},
+		{"load queue size", c.LQSize, math.MaxInt32},
+		{"store queue size", c.SQSize, math.MaxInt32},
+	} {
+		if f.v < 1 || f.v > f.max {
+			return fmt.Errorf("%w: %s %s %d outside [1, %d]", ErrInvalidConfig, c.Name, f.name, f.v, f.max)
+		}
+	}
+	return nil
+}
+
+// mustValidate panics with Validate's error: timing an invalid Config
+// is a caller bug (callers validate configurations built from input).
+func (c Config) mustValidate() {
+	if err := c.Validate(); err != nil {
+		panic(err)
+	}
 }
 
 // Options selects the prediction regime for a run.

@@ -274,17 +274,19 @@ func TestScaledConfig(t *testing.T) {
 }
 
 func TestWidthLimiter(t *testing.T) {
-	w := newWidthLimiter(2)
-	c1 := w.reserve(10)
-	c2 := w.reserve(10)
-	c3 := w.reserve(10)
-	if c1 != 10 || c2 != 10 || c3 != 11 {
-		t.Errorf("reservations: %d %d %d", c1, c2, c3)
-	}
-	// Advancing far clears old slots.
-	c4 := w.reserve(10 + widthWindow)
-	if c4 != 10+widthWindow {
-		t.Errorf("post-wrap reservation: %d", c4)
+	front := newFrontierLimiter(2)
+	for _, w := range []interface{ reserve(uint64) uint64 }{&front, newRingLimiter(2, minWidthWindow)} {
+		c1 := w.reserve(10)
+		c2 := w.reserve(10)
+		c3 := w.reserve(10)
+		if c1 != 10 || c2 != 10 || c3 != 11 {
+			t.Errorf("%T reservations: %d %d %d", w, c1, c2, c3)
+		}
+		// Advancing far clears old slots.
+		c4 := w.reserve(10 + minWidthWindow)
+		if c4 != 10+minWidthWindow {
+			t.Errorf("%T post-wrap reservation: %d", w, c4)
+		}
 	}
 }
 

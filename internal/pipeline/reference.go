@@ -15,7 +15,11 @@ import (
 // tested and benchmarked against (like tage.Reference), not for
 // production use: New(cfg).Run and Time over Annotate/Oracle must
 // return exactly its Result.
+//
+// Reference panics if cfg fails Validate.
 func Reference(cfg Config, s trace.Stream, opt Options) Result {
+	cfg.mustValidate()
+	window := widthWindow(cfg)
 	bs := trace.AsBlocks(s, trace.DefaultBlockLen)
 	hier := cache.NewHierarchy(cfg.Caches)
 	var tb *btb.BTB
@@ -39,9 +43,9 @@ func Reference(cfg Config, s trace.Stream, opt Options) Result {
 		lqIdx        int
 		sqIdx        int
 
-		fetchLim  = newRefLimiter(cfg.FetchWidth)
-		issueLim  = newRefLimiter(cfg.IssueWidth)
-		retireLim = newRefLimiter(cfg.RetireWidth)
+		fetchLim  = newRefLimiter(cfg.FetchWidth, window)
+		issueLim  = newRefLimiter(cfg.IssueWidth, window)
+		retireLim = newRefLimiter(cfg.RetireWidth, window)
 
 		fetchReady uint64 // earliest cycle fetch may proceed (redirects)
 		lastRetire uint64
@@ -83,7 +87,7 @@ func Reference(cfg Config, s trace.Stream, opt Options) Result {
 		res.Insts++
 
 		// --- Fetch ---------------------------------------------------
-		fetch := fetchLim.reserve(maxU(fetchReady, refFetchFloor(lastRetire, cfg)))
+		fetch := fetchLim.reserve(maxU(fetchReady, refFetchFloor(lastRetire, cfg, window)))
 		// Instruction-cache access delays fetch on miss (block-granular:
 		// the hierarchy caches the line after the first access).
 		if lat := hier.L1I.Access(inst.IP); lat > 0 {
@@ -247,16 +251,17 @@ type targetTrainer interface {
 // refFetchFloor bounds fetch from below so that fetch cannot fall
 // unboundedly behind retirement bookkeeping (keeps the width-limiter ring
 // windows aligned).
-func refFetchFloor(lastRetire uint64, cfg Config) uint64 {
-	if lastRetire > uint64(cfg.ROBSize)+cfg.FrontDepth+widthWindow/2 {
-		return lastRetire - uint64(cfg.ROBSize) - cfg.FrontDepth - widthWindow/2
+func refFetchFloor(lastRetire uint64, cfg Config, window uint64) uint64 {
+	if lastRetire > uint64(cfg.ROBSize)+cfg.FrontDepth+window/2 {
+		return lastRetire - uint64(cfg.ROBSize) - cfg.FrontDepth - window/2
 	}
 	return 0
 }
 
 // refLimiter is the reference model's width limiter: per-cycle event
-// counts in a ring of widthWindow cycles, cleared eagerly as the
-// simulation moves past them, probed linearly from the requested cycle.
+// counts in a ring of window cycles (a power of two), cleared eagerly
+// as the simulation moves past them, probed linearly from the requested
+// cycle.
 type refLimiter struct {
 	counts []uint16
 	limit  uint16
@@ -264,15 +269,15 @@ type refLimiter struct {
 	lastSeen uint64
 }
 
-func newRefLimiter(limit int) *refLimiter {
-	return &refLimiter{counts: make([]uint16, widthWindow), limit: uint16(limit)}
+func newRefLimiter(limit int, window uint64) *refLimiter {
+	return &refLimiter{counts: make([]uint16, window), limit: uint16(limit)}
 }
 
 // reserve finds the first cycle >= want with a free slot and claims it.
 func (w *refLimiter) reserve(want uint64) uint64 {
 	for {
 		w.advance(want)
-		i := want & (widthWindow - 1)
+		i := want & uint64(len(w.counts)-1)
 		if w.counts[i] < w.limit {
 			w.counts[i]++
 			return want
@@ -287,12 +292,10 @@ func (w *refLimiter) advance(cycle uint64) {
 		return
 	}
 	// Clear slots in (lastSeen, cycle]; they belong to new cycles.
-	d := cycle - w.lastSeen
-	if d > widthWindow {
-		d = widthWindow
-	}
+	window := uint64(len(w.counts))
+	d := min(cycle-w.lastSeen, window)
 	for i := uint64(1); i <= d; i++ {
-		w.counts[(w.lastSeen+i)&(widthWindow-1)] = 0
+		w.counts[(w.lastSeen+i)&(window-1)] = 0
 	}
 	w.lastSeen = cycle
 }

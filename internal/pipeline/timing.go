@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"math/bits"
 
 	"branchlab/internal/core"
 	"branchlab/internal/trace"
@@ -53,11 +54,14 @@ type timer struct {
 	cfg        Config
 	iLat, dLat [maxDepths]uint64
 	// fetchLag bounds fetch from below: fetch never falls more than
-	// this far behind the last retirement, which keeps the width
-	// limiters' ring windows aligned.
+	// this far behind the last retirement, which keeps fetch requests
+	// within a width-limiter window of the fetch frontier.
 	fetchLag uint64
 
-	regReady [trace.NumRegs]uint64
+	// regReady is indexed by any uint8 register, so it needs no bounds
+	// check. The NoReg entry is zeroed after each destination write, so
+	// operand and destination fields need no NoReg test.
+	regReady [1 << 8]uint64
 
 	// Ring buffers holding per-entry release cycles for each bounded
 	// structure: an instruction cannot claim entry i%N until the
@@ -65,8 +69,9 @@ type timer struct {
 	robRelease, schedRelease, lqRelease, sqRelease []uint64
 	robIdx, schedIdx, lqIdx, sqIdx                 int
 
-	fetchLim, issueLim, retireLim *widthLimiter
-	fwd                           *storeForwarder
+	fetchLim, retireLim frontierLimiter
+	issueLim            *ringLimiter
+	fwd                 *storeForwarder
 
 	fetchReady uint64 // earliest cycle fetch may proceed (redirects)
 	lastRetire uint64
@@ -76,20 +81,22 @@ type timer struct {
 }
 
 // newTimer returns a timer for cfg; iLat and dLat map the annotation's
-// serving depths to latencies.
+// serving depths to latencies. It panics if cfg fails Validate.
 func newTimer(cfg Config, iLat, dLat [maxDepths]uint64) *timer {
+	cfg.mustValidate()
+	window := widthWindow(cfg)
 	return &timer{
 		cfg:          cfg,
 		iLat:         iLat,
 		dLat:         dLat,
-		fetchLag:     uint64(cfg.ROBSize) + cfg.FrontDepth + widthWindow/2,
+		fetchLag:     uint64(cfg.ROBSize) + cfg.FrontDepth + window/2,
 		robRelease:   make([]uint64, cfg.ROBSize),
 		schedRelease: make([]uint64, cfg.SchedSize),
 		lqRelease:    make([]uint64, cfg.LQSize),
 		sqRelease:    make([]uint64, cfg.SQSize),
-		fetchLim:     newWidthLimiter(cfg.FetchWidth),
-		issueLim:     newWidthLimiter(cfg.IssueWidth),
-		retireLim:    newWidthLimiter(cfg.RetireWidth),
+		fetchLim:     newFrontierLimiter(cfg.FetchWidth),
+		issueLim:     newRingLimiter(cfg.IssueWidth, window),
+		retireLim:    newFrontierLimiter(cfg.RetireWidth),
 		fwd:          newStoreForwarder(cfg.SQSize),
 	}
 }
@@ -103,6 +110,7 @@ func (t *timer) block(blk []trace.Inst, rec []uint8, miss *core.MispredictMap) {
 	fetchReady, lastRetire, lastCycle := t.fetchReady, t.lastRetire, t.lastCycle
 	robIdx, schedIdx, lqIdx, sqIdx := t.robIdx, t.schedIdx, t.lqIdx, t.sqIdx
 	k, mispreds := t.k, t.mispreds
+	fetchLim, retireLim := t.fetchLim, t.retireLim
 	regReady := &t.regReady
 	for j := range blk {
 		inst := &blk[j]
@@ -114,7 +122,7 @@ func (t *timer) block(blk []trace.Inst, rec []uint8, miss *core.MispredictMap) {
 			floor = lastRetire - t.fetchLag
 		}
 		// The instruction-cache access delays fetch on a miss.
-		fetch := t.fetchLim.reserve(maxU(fetchReady, floor)) + t.iLat[r&recIDepth]
+		fetch := fetchLim.reserve(maxU(fetchReady, floor)) + t.iLat[r&recIDepth]
 
 		// --- Dispatch: ROB + scheduler occupancy ----------------------
 		dispatch := fetch + cfg.FrontDepth
@@ -136,12 +144,7 @@ func (t *timer) block(blk []trace.Inst, rec []uint8, miss *core.MispredictMap) {
 		}
 
 		// --- Issue: operand readiness + issue bandwidth ---------------
-		ready := dispatch
-		for _, s := range inst.SrcRegs {
-			if s != trace.NoReg && regReady[s] > ready {
-				ready = regReady[s]
-			}
-		}
+		ready := max(dispatch, regReady[inst.SrcRegs[0]], regReady[inst.SrcRegs[1]])
 		issue := t.issueLim.reserve(ready)
 
 		// --- Execute ---------------------------------------------------
@@ -157,9 +160,8 @@ func (t *timer) block(blk []trace.Inst, rec []uint8, miss *core.MispredictMap) {
 		default:
 			done = issue + execLatency(inst.Kind)
 		}
-		if inst.DstReg != trace.NoReg {
-			regReady[inst.DstReg] = done
-		}
+		regReady[inst.DstReg] = done
+		regReady[trace.NoReg] = 0
 
 		// --- Branch handling -------------------------------------------
 		if inst.Kind == trace.KindCondBr {
@@ -178,7 +180,7 @@ func (t *timer) block(blk []trace.Inst, rec []uint8, miss *core.MispredictMap) {
 		}
 
 		// --- Retire -----------------------------------------------------
-		retire := t.retireLim.reserve(maxU(done+1, lastRetire))
+		retire := retireLim.reserve(maxU(done+1, lastRetire))
 		lastRetire = retire
 		lastCycle = maxU(lastCycle, retire)
 
@@ -207,6 +209,7 @@ func (t *timer) block(blk []trace.Inst, rec []uint8, miss *core.MispredictMap) {
 	t.fetchReady, t.lastRetire, t.lastCycle = fetchReady, lastRetire, lastCycle
 	t.robIdx, t.schedIdx, t.lqIdx, t.sqIdx = robIdx, schedIdx, lqIdx, sqIdx
 	t.k, t.mispreds = k, mispreds
+	t.fetchLim, t.retireLim = fetchLim, retireLim
 	t.insts += uint64(len(blk))
 }
 
@@ -224,78 +227,123 @@ func (t *timer) result(l1dMisses uint64) Result {
 	return res
 }
 
-// widthWindow is the width limiters' ring size in cycles. It must
-// exceed any look-back distance, which is bounded by the largest latency
-// chain (memory latency + penalties « window).
-const widthWindow = 1 << 15
+// minWidthWindow is the smallest width-limiter ring, in cycles.
+const minWidthWindow = 1 << 15
 
-// widthLimiter caps events per cycle: a ring of per-cycle counts over
-// the last widthWindow cycles, where a request for an older cycle reads
-// whichever cycle currently owns its slot. It is exact with the
-// reference model's limiter (refLimiter) and avoids that limiter's two
-// linear costs:
+// widthWindow returns cfg's width-limiter ring size in cycles: the
+// smallest power of two of at least minWidthWindow with
+// ROBSize+FrontDepth <= window/2. That bound keeps fetch requests
+// within a window of the fetch frontier (see frontierLimiter); every
+// scale of Skylake up to 73x keeps the minimum.
+func widthWindow(cfg Config) uint64 {
+	w := uint64(minWidthWindow)
+	for uint64(cfg.ROBSize)+cfg.FrontDepth > w/2 {
+		w *= 2
+	}
+	return w
+}
+
+// frontierLimiter caps events per cycle for a non-decreasing request
+// stream. It claims exactly what refLimiter claims for that stream from
+// two words of state: the latest claimed cycle and its count.
 //
-//   - Clearing: a slot's count belongs to the latest cycle at or below
-//     the frontier (lastSeen) that maps to the slot. Instead of zeroing
-//     slots as the frontier moves, each slot records which cycle its
-//     count belongs to (as an epoch, cycle / widthWindow) and reads as
-//     zero when that is no longer the owner.
-//   - Re-probing: a request that falls inside the range the previous
-//     request found full starts probing at the end of that range.
-//     Fetch requests are non-decreasing and mostly land there, so the
-//     fetch limiter no longer walks every full cycle since the last
-//     redirect.
-type widthLimiter struct {
-	counts   []uint16
-	epochs   []uint32
-	limit    uint16
+// With requests that never decrease, every cycle from a request up to
+// the latest claim is full (each was claimed in order until it filled),
+// and no cycle past the latest claim has been claimed. So the first
+// cycle >= want with a free slot is want itself when it lies past the
+// latest claim, else the latest claim while it has room, else the cycle
+// after it. The ring gives the same answer provided no request reads a
+// slot a newer cycle owns, i.e. the latest claim is less than a window
+// past every request.
+//
+// Retirement requests max(done+1, lastRetire), never below its own
+// previous claim, so the latest claim never passes a request. Fetch
+// requests max(fetchReady, lastRetire-fetchLag), and both terms only
+// grow. Fetch's latest claim r is the previous instruction's, which
+// dispatched at least FrontDepth cycles after r and retired at
+// lastRetire, so r < lastRetire-FrontDepth and r - want < fetchLag -
+// FrontDepth = ROBSize + window/2 <= window by widthWindow's sizing
+// rule.
+type frontierLimiter struct {
+	cur, count, limit uint64
+	last              uint64 // the previous request
+}
+
+func newFrontierLimiter(limit int) frontierLimiter {
+	return frontierLimiter{limit: uint64(limit)}
+}
+
+// reserve claims the first cycle >= want with a free slot. A request
+// below the previous one breaks the limiter's exactness, so reserve
+// panics rather than time it.
+func (w *frontierLimiter) reserve(want uint64) uint64 {
+	if want < w.last {
+		panic("pipeline: width-limiter requests decreased")
+	}
+	w.last = want
+	if want > w.cur {
+		w.cur, w.count = want, 0
+	}
+	if w.count == w.limit {
+		w.cur, w.count = w.cur+1, 0
+	}
+	w.count++
+	return w.cur
+}
+
+// ringLimiter caps events per cycle for any request stream: a ring of
+// per-cycle counts over the last window cycles, where a request for an
+// older cycle reads whichever cycle currently owns its slot. It claims
+// exactly what refLimiter claims, without refLimiter's eager clearing:
+// a slot's count belongs to the latest cycle at or below the frontier
+// (lastSeen) that maps to the slot, and each slot holds that cycle's
+// window epoch (cycle / window) beside its count in one word,
+// epoch<<16 | count, reading as zero when the epoch is no longer the
+// owner's. Issue requests jitter behind the frontier, so issue needs it.
+type ringLimiter struct {
+	slots    []uint64
+	limit    uint64
+	shift    uint   // log2(window)
+	mask     uint64 // window - 1
 	lastSeen uint64 // highest cycle requested or probed so far
-	// Every cycle in [fullFrom, fullTo) read as full when last probed.
-	// While those cycles stay within widthWindow of the frontier their
-	// slots keep their owners, and counts only grow, so they are still
-	// full.
-	fullFrom, fullTo uint64
 }
 
-func newWidthLimiter(limit int) *widthLimiter {
-	return &widthLimiter{
-		counts: make([]uint16, widthWindow),
-		epochs: make([]uint32, widthWindow),
-		limit:  uint16(limit),
+func newRingLimiter(limit int, window uint64) *ringLimiter {
+	return &ringLimiter{
+		slots: make([]uint64, window),
+		limit: uint64(limit),
+		shift: uint(bits.TrailingZeros64(window)),
+		mask:  window - 1,
 	}
 }
 
-// reserve finds the first cycle >= want with a free slot and claims it.
-func (w *widthLimiter) reserve(want uint64) uint64 {
-	c := want
-	if want >= w.fullFrom && want < w.fullTo && want+widthWindow > w.lastSeen {
-		c = w.fullTo
-	}
-	for {
+// reserve claims the first cycle >= want with a free slot.
+func (w *ringLimiter) reserve(want uint64) uint64 {
+	for c := want; ; c++ {
 		if c > w.lastSeen {
 			w.lastSeen = c
 		}
 		// The slot's owner is the latest cycle <= lastSeen congruent to
 		// c: c itself unless c is a full window behind the frontier.
-		owner := uint32(c / widthWindow)
-		if c+widthWindow <= w.lastSeen {
-			owner = uint32((w.lastSeen - (w.lastSeen-c)&(widthWindow-1)) / widthWindow)
+		epoch := c >> w.shift
+		if c+w.mask < w.lastSeen {
+			epoch = (w.lastSeen - (w.lastSeen-c)&w.mask) >> w.shift
 		}
-		i := c & (widthWindow - 1)
-		if w.epochs[i] != owner {
-			w.epochs[i], w.counts[i] = owner, 0
+		s := &w.slots[c&w.mask]
+		v := *s
+		if v>>countBits != epoch {
+			v = epoch << countBits
 		}
-		if w.counts[i] < w.limit {
-			w.counts[i]++
-			w.fullFrom, w.fullTo = want, c
-			if w.counts[i] == w.limit {
-				w.fullTo = c + 1
-			}
+		if v&(1<<countBits-1) < w.limit {
+			*s = v + 1
 			return c
 		}
-		c++
 	}
 }
+
+// countBits is the width of a ringLimiter slot's count, which bounds
+// every width (MaxWidth).
+const countBits = 16
 
 // storeForwarder answers the store-to-load forwarding query — the
 // latest completion cycle among the last n stores to a block (0 when

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR12.json,
-# and diff the replay-loop benchmarks against the previous committed
-# baseline (BENCH_PR9.json) so regressions in the block pipeline fail
+# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR13.json,
+# and diff the replay-loop and pipeline-stage benchmarks against the
+# previous committed baseline (BENCH_PR12.json) so regressions fail
 # loudly.
 #
 # Tracked benchmarks (the perf trajectory of the replay refactors):
@@ -28,10 +28,11 @@
 #                                       - evicted-slice refill: prefix skim vs
 #                                         checkpoint resume; ckpt must be
 #                                         position-independent (O(window))
-#   BenchmarkPipeline{Annotate,Predict,Time}
+#   BenchmarkPipeline{Annotate,Predict,Time,Time16x}
 #                                       - the layered pipeline model's stages on one
 #                                         trace: cache/BTB annotation, TAGE-SC-L 8KB
-#                                         misprediction map, 1x timing recurrence
+#                                         misprediction map, timing recurrence at 1x
+#                                         and at 16x (96-wide issue ring)
 #   BenchmarkPipelineSweep/{layered,reference}
 #                                       - one trace's 3-scale x 4-regime IPC sweep:
 #                                         shared stages + per-cell timing vs the
@@ -58,7 +59,7 @@
 #      model on the same sweep (PipelineSweep/reference). Annotating
 #      and predicting once per trace exists to make the sweep cheaper;
 #      a ratio above PIPE_MAX fails the script.
-#   4. Cross-run diff vs the committed BENCH_PR9.json baseline:
+#   4. Cross-run diff vs the committed BENCH_PR12.json baseline:
 #      printed for trend tracking; it only FAILS when BASELINE_GATE=1,
 #      because absolute ns/op from a different host (e.g. a CI runner
 #      vs the machine that recorded the baseline) cannot gate
@@ -84,9 +85,9 @@
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
-out="${1:-BENCH_PR12.json}"
+out="${1:-BENCH_PR13.json}"
 benchtime="${BENCHTIME:-1s}"
-baseline="${BASELINE:-BENCH_PR9.json}"
+baseline="${BASELINE:-BENCH_PR12.json}"
 regmax="${REGRESSION_MAX:-1.30}"
 blockmax="${BLOCK_MAX:-1.25}"
 tagemax="${TAGE_MAX:-1.00}"
@@ -96,7 +97,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkPipeline(Annotate|Predict|Time|Sweep)$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$' \
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkPipeline(Annotate|Predict|Time|Time16x|Sweep)$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$' \
   -benchtime "$benchtime" . | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
@@ -136,6 +137,7 @@ BenchmarkTAGEPredictTrain/tage-reference
 BenchmarkPipelineAnnotate
 BenchmarkPipelinePredict
 BenchmarkPipelineTime
+BenchmarkPipelineTime16x
 BenchmarkPipelineSweep/layered
 BenchmarkPipelineSweep/reference
 BenchmarkTraceCacheHit
@@ -231,7 +233,7 @@ elif [ "$(awk -v r="$ratio" -v m="$pipemax" 'BEGIN { print (r > m) ? 1 : 0 }')" 
 fi
 
 # 4. Cross-run diff vs the committed baseline (RunAll, CoreRun,
-# RecordSharded; the other benchmarks are new in this PR or measure a
+# RecordSharded and the pipeline stages; the other benchmarks measure a
 # path whose work changed shape between PRs and so have no comparable
 # baseline). Printed for trend tracking; enforced only with
 # BASELINE_GATE=1 since absolute ns/op only compare on the host that
@@ -248,7 +250,7 @@ else
   echo "diff vs $baseline (informational unless BASELINE_GATE=1; max ${regmax}x):" >&2
   while read -r name ns; do
     case "$name" in
-      BenchmarkRunAll/*|BenchmarkCoreRun/observers=*|BenchmarkRecordSharded/*) ;;
+      BenchmarkRunAll/*|BenchmarkCoreRun/observers=*|BenchmarkRecordSharded/*|BenchmarkPipeline*) ;;
       *) continue ;;
     esac
     base_ns="$(parse "$baseline" | awk -v n="$name" '$1 == n { print $2 }')"
@@ -268,7 +270,7 @@ else
 $(parse "$out")
 EOF
   if [ "$status" -ne 0 ] && [ "$basegate" = 1 ]; then
-    echo "bench.sh: replay-loop regression exceeds ${regmax}x vs $baseline" >&2
+    echo "bench.sh: regression exceeds ${regmax}x vs $baseline" >&2
     exit 1
   fi
 fi
