@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"branchlab"
+	"branchlab/internal/cnn"
 	"branchlab/internal/core"
+	"branchlab/internal/depgraph"
 	"branchlab/internal/experiments"
 	"branchlab/internal/pipeline"
 	"branchlab/internal/program"
@@ -353,6 +355,55 @@ func BenchmarkPipelineSweep(b *testing.B) {
 			}
 		}
 	})
+}
+
+// h2pBenchInput records 605.mcf_s input 0 at a 1M-instruction budget
+// and returns it with its top H2P heavy hitter under TAGE-SC-L 8KB —
+// the (trace, target) pair the table3, fig6 and cnn drivers analyze.
+func h2pBenchInput(b *testing.B) (*trace.Buffer, uint64) {
+	b.Helper()
+	const budget, sliceLen = 1_000_000, 250_000
+	spec, ok := workload.ByName("605.mcf_s")
+	if !ok {
+		b.Fatal("605.mcf_s not found")
+	}
+	tr := spec.Record(0, budget)
+	col := core.NewCollector(sliceLen)
+	core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
+	hh := core.PaperCriteria().Scaled(sliceLen).Screen(col).HeavyHitters()
+	if len(hh) == 0 {
+		b.Fatal("no H2P heavy hitter in the benchmark trace")
+	}
+	return tr, hh[0].IP
+}
+
+// BenchmarkCNNTrain times one helper model's offline training (float
+// and quantization-aware epochs, DefaultConfig) on the samples the
+// history collector gathers for the top H2P. It reports the sample
+// count alongside ns/op.
+func BenchmarkCNNTrain(b *testing.B) {
+	tr, target := h2pBenchInput(b)
+	cfg := cnn.DefaultConfig()
+	hc := cnn.NewHistoryCollector(cfg, target)
+	core.Observe(tr.Stream(), hc)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cnn.NewModel(cfg).Train(hc.Samples)
+	}
+	b.ReportMetric(float64(len(hc.Samples)), "samples")
+}
+
+// BenchmarkDepgraphAnalyze times the §IV-A dependency analysis of the
+// top H2P as the table3 and fig6 drivers run it: a 5000-instruction
+// window, up to 4000 analyzed executions. MB/s reads as M
+// instructions/s.
+func BenchmarkDepgraphAnalyze(b *testing.B) {
+	tr, target := h2pBenchInput(b)
+	b.SetBytes(int64(tr.Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.Observe(tr.Stream(), depgraph.New(depgraph.DefaultWindow, 4000, target))
+	}
 }
 
 // BenchmarkRecordSharded contrasts sequential trace recording with

@@ -304,9 +304,18 @@ func TrainHelper(cfg HelperConfig, target uint64, traces ...*Buffer) *HelperMode
 }
 
 // NewHelperOverlay deploys helper models alongside a base predictor.
+// The overlay encodes history under cfg; its Attach installs a helper
+// only if the helper was trained with the same HistLen and Buckets,
+// and otherwise returns an error matching ErrHelperGeometryMismatch —
+// check it, above all for helpers read back with LoadHelper.
 func NewHelperOverlay(cfg HelperConfig, base Predictor) *cnn.Overlay {
 	return cnn.NewOverlay(cfg, base)
 }
+
+// ErrHelperGeometryMismatch is matched (errors.Is) by the error an
+// overlay's Attach returns for a helper whose history encoding differs
+// from the overlay's.
+var ErrHelperGeometryMismatch = cnn.ErrGeometryMismatch
 
 // SaveHelper serializes a trained helper's deployment weights (the §V-D
 // "application metadata" the OS would load onto the BPU).

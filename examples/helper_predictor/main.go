@@ -46,7 +46,9 @@ func main() {
 	baseAcc := baseCol.Totals()[target].Accuracy()
 
 	overlay := branchlab.NewHelperOverlay(cfg, branchlab.NewTAGESCL(8))
-	overlay.Attach(target, model)
+	if err := overlay.Attach(target, model); err != nil {
+		log.Fatal(err)
+	}
 	helpCol := branchlab.NewCollector(sliceLen)
 	branchlab.Run(eval.Stream(), overlay, helpCol)
 	helpAcc := helpCol.Totals()[target].Accuracy()

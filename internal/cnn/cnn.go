@@ -97,14 +97,16 @@ func (h *HistoryCollector) Branch(uint64, *trace.Inst, bool) {}
 // Model is a trained helper predictor for one static branch.
 type Model struct {
 	Cfg Config
-	// Float weights (training).
-	w1 [][]float32 // [2*Buckets][Filters]
-	w2 []float32   // [Segments*Filters]
+	// Float weights (training). The embedding is one flat table: the
+	// Filters weights of input slot s are w1[s*Filters : (s+1)*Filters].
+	w1 []float32 // [2*Buckets*Filters]
+	w2 []float32 // [Segments*Filters]
 	b  float32
 	// Quantized weights (deployment): 2-bit magnitudes with per-row
 	// (embedding) and per-tensor (output) scale factors, the
-	// grouped-scaling standard for low-precision inference.
-	q1        [][]int8
+	// grouped-scaling standard for low-precision inference. q1 has w1's
+	// flat layout.
+	q1        []int8
 	q2        []int8
 	scale1    []float32 // per-row scale for q1
 	scale2    float32   // per-tensor scale for q2
@@ -119,10 +121,7 @@ func NewModel(cfg Config) *Model {
 	// contribute nothing at inference (and quantize to the dead zone);
 	// the random output layer breaks filter symmetry, and the ReLU
 	// subgradient at zero lets embedding gradients flow from the start.
-	m.w1 = make([][]float32, 2*cfg.Buckets)
-	for i := range m.w1 {
-		m.w1[i] = make([]float32, cfg.Filters)
-	}
+	m.w1 = make([]float32, 2*cfg.Buckets*cfg.Filters)
 	m.w2 = make([]float32, cfg.Segments*cfg.Filters)
 	for i := range m.w2 {
 		m.w2[i] = float32(rng.NormFloat64() * 0.1)
@@ -130,29 +129,57 @@ func NewModel(cfg Config) *Model {
 	return m
 }
 
+// segLen returns the length of the history segments of an n-slot
+// snapshot: ceil(n/Segments), so trailing segments may be short or
+// empty.
+func (m *Model) segLen(n int) int { return (n + m.Cfg.Segments - 1) / m.Cfg.Segments }
+
+// segment returns the slots of history segment seg.
+func segment(slots []uint16, segLen, seg int) []uint16 {
+	lo := min(seg*segLen, len(slots))
+	return slots[lo:min(lo+segLen, len(slots))]
+}
+
 // pooled computes the raw (pre-ReLU) segment-pooled feature vector for
-// one sample under the given embedding weights.
-func (m *Model) pooled(w1 [][]float32, slots []uint16, out []float32) {
-	for i := range out {
-		out[i] = 0
-	}
-	segLen := (len(slots) + m.Cfg.Segments - 1) / m.Cfg.Segments
-	for t, slot := range slots {
-		seg := t / segLen
-		if seg >= m.Cfg.Segments {
-			seg = m.Cfg.Segments - 1
+// one sample under the given flat embedding weights. Each feature
+// accumulates from +0 over its segment's slots in history order, eight
+// filters per pass in registers (DESIGN.md §13).
+func (m *Model) pooled(w1 []float32, slots []uint16, out []float32) {
+	nf := m.Cfg.Filters
+	segLen := m.segLen(len(slots))
+	for seg := 0; seg < m.Cfg.Segments; seg++ {
+		ss := segment(slots, segLen, seg)
+		o := out[seg*nf : (seg+1)*nf]
+		f := 0
+		for ; f+8 <= nf; f += 8 {
+			var a0, a1, a2, a3, a4, a5, a6, a7 float32
+			for _, slot := range ss {
+				w := w1[int(slot)*nf+f:][:8]
+				a0 += w[0]
+				a1 += w[1]
+				a2 += w[2]
+				a3 += w[3]
+				a4 += w[4]
+				a5 += w[5]
+				a6 += w[6]
+				a7 += w[7]
+			}
+			o[f], o[f+1], o[f+2], o[f+3] = a0, a1, a2, a3
+			o[f+4], o[f+5], o[f+6], o[f+7] = a4, a5, a6, a7
 		}
-		w := w1[slot]
-		base := seg * m.Cfg.Filters
-		for f := 0; f < m.Cfg.Filters; f++ {
-			out[base+f] += w[f]
+		for ; f < nf; f++ {
+			var a float32
+			for _, slot := range ss {
+				a += w1[int(slot)*nf+f]
+			}
+			o[f] = a
 		}
 	}
 }
 
 // forward returns the pre-sigmoid logit under the given weights, filling
 // raw with the pre-ReLU pooled features.
-func (m *Model) forward(w1 [][]float32, w2 []float32, slots []uint16, raw []float32) float32 {
+func (m *Model) forward(w1, w2 []float32, slots []uint16, raw []float32) float32 {
 	m.pooled(w1, slots, raw)
 	z := m.b
 	for i, r := range raw {
@@ -161,6 +188,52 @@ func (m *Model) forward(w1 [][]float32, w2 []float32, slots []uint16, raw []floa
 		}
 	}
 	return z
+}
+
+// trainScratch holds the buffers one Train call reuses across steps.
+type trainScratch struct {
+	feat []float32 // pooled features of the current sample
+	// The current sample's ReLU split, each in ascending order:
+	// out[:nout] lists the features with r > 0 (they feed the logit and
+	// step w2); grad lists, segment by segment, the filters whose feature
+	// has r >= 0 (they step the embedding), segment seg's run ending at
+	// gradEnd[seg].
+	out     []int32
+	nout    int
+	grad    []int32
+	gradEnd []int
+	fw1     []float32 // dequantized embedding (STE epochs)
+	fw2     []float32 // dequantized output layer (STE epochs)
+}
+
+func newTrainScratch(cfg Config) *trainScratch {
+	n := cfg.Segments * cfg.Filters
+	return &trainScratch{feat: make([]float32, n), out: make([]int32, n),
+		grad: make([]int32, n), gradEnd: make([]int, cfg.Segments)}
+}
+
+// split fills the ReLU split from feat. The appends are branch-free:
+// the sign of a pooled feature is data, not a pattern a branch
+// predictor can learn.
+func (sc *trainScratch) split(nf int) {
+	no, ng := 0, 0
+	for seg := range sc.gradEnd {
+		for f, r := range sc.feat[seg*nf : (seg+1)*nf] {
+			sc.out[no] = int32(seg*nf + f)
+			no += b2i(r > 0)
+			sc.grad[ng] = int32(f)
+			ng += b2i(r >= 0)
+		}
+		sc.gradEnd[seg] = ng
+	}
+	sc.nout = no
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Train fits the model to the samples with SGD on binary cross-entropy,
@@ -178,9 +251,10 @@ func (m *Model) Train(samples []Sample) {
 	for i := range order {
 		order[i] = i
 	}
+	sc := newTrainScratch(m.Cfg)
 	lr := float32(m.Cfg.LR)
 	for epoch := 0; epoch < m.Cfg.Epochs; epoch++ {
-		m.epoch(samples, order, rng, lr, false)
+		m.epoch(samples, order, rng, lr, false, sc)
 		lr *= 0.8
 	}
 	// Quantization-aware refinement at a damped rate: large steps make
@@ -192,7 +266,7 @@ func (m *Model) Train(samples []Sample) {
 		if !m.quantized {
 			return
 		}
-		m.epoch(samples, order, rng, lr, true)
+		m.epoch(samples, order, rng, lr, true, sc)
 		lr *= 0.8
 	}
 	m.quantize()
@@ -202,13 +276,12 @@ func (m *Model) Train(samples []Sample) {
 // dequantized weights (refreshed every steRefresh samples so the forward
 // function tracks the drifting float shadows) while updates flow to the
 // float weights — the straight-through estimator.
-func (m *Model) epoch(samples []Sample, order []int, rng *xrand.Rand, lr float32, ste bool) {
+func (m *Model) epoch(samples []Sample, order []int, rng *xrand.Rand, lr float32, ste bool, sc *trainScratch) {
 	const steRefresh = 256
-	feat := make([]float32, m.Cfg.Segments*m.Cfg.Filters)
 	fw1, fw2 := m.w1, m.w2
 	if ste {
-		fw1 = dequant2D(m.q1, m.scale1)
-		fw2 = dequant1D(m.q2, m.scale2)
+		m.dequantize(sc)
+		fw1, fw2 = sc.fw1, sc.fw2
 	}
 	// Fisher-Yates shuffle for SGD.
 	for i := len(order) - 1; i > 0; i-- {
@@ -218,11 +291,18 @@ func (m *Model) epoch(samples []Sample, order []int, rng *xrand.Rand, lr float32
 	for step, idx := range order {
 		if ste && step > 0 && step%steRefresh == 0 {
 			m.quantize()
-			fw1 = dequant2D(m.q1, m.scale1)
-			fw2 = dequant1D(m.q2, m.scale2)
+			m.dequantize(sc)
+			fw1, fw2 = sc.fw1, sc.fw2
 		}
 		s := samples[idx]
-		z := m.forward(fw1, fw2, s.Slots, feat)
+		m.pooled(fw1, s.Slots, sc.feat)
+		sc.split(m.Cfg.Filters)
+		// The logit sums the active features in index order, as forward
+		// does.
+		z := m.b
+		for _, i := range sc.out[:sc.nout] {
+			z += fw2[i] * sc.feat[i]
+		}
 		p := sigmoid(z)
 		y := float32(0)
 		if s.Taken {
@@ -230,51 +310,58 @@ func (m *Model) epoch(samples []Sample, order []int, rng *xrand.Rand, lr float32
 		}
 		g := p - y // dL/dz
 		m.b -= lr * g
-		segLen := (len(s.Slots) + m.Cfg.Segments - 1) / m.Cfg.Segments
-		for i, r := range feat {
-			// ReLU subgradient of 1 at exactly zero lets zero-initialized
-			// embeddings start learning.
-			if r >= 0 {
-				m.w1grad(s.Slots, segLen, i, lr*g*fw2[i])
-			}
-			if r > 0 {
-				m.w2[i] -= lr * g * r
+		m.backward(sc, s.Slots, fw2, lr*g)
+	}
+}
+
+// backward applies one sample's gradient step lg = lr*dL/dz. Every
+// feature with r >= 0 (the ReLU subgradient of 1 at exactly zero lets
+// zero-initialized embeddings start learning) steps its filter's weight
+// in each slot row of its segment; every feature with r > 0 steps its
+// output weight. Features run in index order and slots in history
+// order, so each weight receives its subtractions in the same order as
+// a per-feature loop applies them, and every embedding step is computed
+// from the output weights the forward pass used (DESIGN.md §13).
+func (m *Model) backward(sc *trainScratch, slots []uint16, fw2 []float32, lg float32) {
+	nf := m.Cfg.Filters
+	segLen := m.segLen(len(slots))
+	w1 := m.w1
+	k := 0
+	for seg, end := range sc.gradEnd {
+		ss := segment(slots, segLen, seg)
+		for ; k < end; k++ {
+			f := int(sc.grad[k])
+			d := lg * fw2[seg*nf+f]
+			for _, slot := range ss {
+				w1[int(slot)*nf+f] -= d
 			}
 		}
 	}
+	for _, i := range sc.out[:sc.nout] {
+		m.w2[i] -= lg * sc.feat[i]
+	}
 }
 
-func dequant2D(q [][]int8, scales []float32) [][]float32 {
-	out := make([][]float32, len(q))
-	for i, row := range q {
-		out[i] = make([]float32, len(row))
-		for j, v := range row {
-			out[i][j] = float32(v) * scales[i]
-		}
+// dequantize refreshes sc.fw1/sc.fw2 from the quantized weights.
+func (m *Model) dequantize(sc *trainScratch) {
+	sc.fw1 = resize(sc.fw1, len(m.q1))
+	nf := m.Cfg.Filters
+	for i, v := range m.q1 {
+		sc.fw1[i] = float32(v) * m.scale1[i/nf]
 	}
-	return out
+	sc.fw2 = resize(sc.fw2, len(m.q2))
+	for i, v := range m.q2 {
+		sc.fw2[i] = float32(v) * m.scale2
+	}
 }
 
-func dequant1D(q []int8, scale float32) []float32 {
-	out := make([]float32, len(q))
-	for i, v := range q {
-		out[i] = float32(v) * scale
+// resize returns s with length n, reusing its backing array when it is
+// large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return out
-}
-
-// w1grad applies the embedding gradient for pooled feature i.
-func (m *Model) w1grad(slots []uint16, segLen, i int, delta float32) {
-	seg := i / m.Cfg.Filters
-	f := i % m.Cfg.Filters
-	lo := seg * segLen
-	hi := lo + segLen
-	if hi > len(slots) {
-		hi = len(slots)
-	}
-	for t := lo; t < hi; t++ {
-		m.w1[slots[t]][f] -= delta
-	}
+	return s[:n]
 }
 
 // quantize snaps each weight tensor to sign + 2-bit magnitude with a
@@ -283,15 +370,13 @@ func (m *Model) w1grad(slots []uint16, segLen, i int, delta float32) {
 // input slot never fires for this branch) and must quantize to exactly
 // zero rather than inject ±1 noise into every lookup.
 func (m *Model) quantize() {
-	scaleOf := func(rows ...[]float32) float32 {
+	scaleOf := func(row []float32) float32 {
 		var sum float64
 		var n int
-		for _, row := range rows {
-			for _, w := range row {
-				if a := math.Abs(float64(w)); a > 1e-6 {
-					sum += a
-					n++
-				}
+		for _, w := range row {
+			if a := math.Abs(float64(w)); a > 1e-6 {
+				sum += a
+				n++
 			}
 		}
 		if n == 0 {
@@ -321,17 +406,18 @@ func (m *Model) quantize() {
 	if m.scale2 == 0 {
 		return
 	}
-	m.scale1 = make([]float32, len(m.w1))
-	m.q1 = make([][]int8, len(m.w1))
-	for i, row := range m.w1 {
+	nf := m.Cfg.Filters
+	m.scale1 = resize(m.scale1, len(m.w1)/nf)
+	m.q1 = resize(m.q1, len(m.w1))
+	for i := range m.scale1 {
+		row := m.w1[i*nf : (i+1)*nf]
 		s := scaleOf(row)
 		m.scale1[i] = s
-		m.q1[i] = make([]int8, len(row))
 		for j, w := range row {
-			m.q1[i][j] = quant(w, s)
+			m.q1[i*nf+j] = quant(w, s)
 		}
 	}
-	m.q2 = make([]int8, len(m.w2))
+	m.q2 = resize(m.q2, len(m.w2))
 	for i, w := range m.w2 {
 		m.q2[i] = quant(w, m.scale2)
 	}
@@ -340,27 +426,31 @@ func (m *Model) quantize() {
 
 // Predict returns the predicted direction for a history snapshot using
 // the quantized weights when available (integer dot products, as deployed
-// on a BPU), falling back to float weights before quantization.
+// on a BPU), falling back to float weights before quantization. It
+// allocates its feature vector, so concurrent callers may share a model.
 func (m *Model) Predict(slots []uint16) bool {
+	return m.predict(slots, make([]float32, m.Cfg.Segments*m.Cfg.Filters))
+}
+
+// predict is Predict with caller-provided feature scratch of length
+// Segments*Filters.
+func (m *Model) predict(slots []uint16, feat []float32) bool {
 	if !m.quantized {
-		feat := make([]float32, m.Cfg.Segments*m.Cfg.Filters)
 		return m.forward(m.w1, m.w2, slots, feat) >= 0
 	}
-	segLen := (len(slots) + m.Cfg.Segments - 1) / m.Cfg.Segments
-	feat := make([]float32, m.Cfg.Segments*m.Cfg.Filters)
+	clear(feat)
+	nf := m.Cfg.Filters
+	segLen := m.segLen(len(slots))
 	for t, slot := range slots {
 		seg := t / segLen
-		if seg >= m.Cfg.Segments {
-			seg = m.Cfg.Segments - 1
-		}
-		w := m.q1[slot]
 		s := m.scale1[slot]
 		if s == 0 {
 			continue
 		}
-		base := seg * m.Cfg.Filters
-		for f := range w {
-			feat[base+f] += float32(w[f]) * s
+		w := m.q1[int(slot)*nf:][:nf]
+		o := feat[seg*nf : (seg+1)*nf]
+		for f, q := range w {
+			o[f] += float32(q) * s
 		}
 	}
 	var z float64
@@ -378,8 +468,9 @@ func (m *Model) Accuracy(samples []Sample) float64 {
 		return 0
 	}
 	correct := 0
+	feat := make([]float32, m.Cfg.Segments*m.Cfg.Filters)
 	for _, s := range samples {
-		if m.Predict(s.Slots) == s.Taken {
+		if m.predict(s.Slots, feat) == s.Taken {
 			correct++
 		}
 	}

@@ -1,6 +1,7 @@
 package cnn
 
 import (
+	"slices"
 	"testing"
 
 	"branchlab/internal/bp"
@@ -117,7 +118,9 @@ func TestHelperBeatsTAGEOnH2P(t *testing.T) {
 
 	// Overlay accuracy on the same trace.
 	overlay := NewOverlay(cfg, tage.New(tage.Config8KB()))
-	overlay.Attach(h2pIP, m)
+	if err := overlay.Attach(h2pIP, m); err != nil {
+		t.Fatal(err)
+	}
 	col2 := core.NewCollector(uint64(tr.Len()))
 	core.Run(tr.Stream(), overlay, col2)
 	helperAcc := col2.Totals()[h2pIP].Accuracy()
@@ -162,14 +165,12 @@ func TestQuantizedWeightsAreTwoBit(t *testing.T) {
 			}
 		}
 	}
-	for _, row := range m.q1 {
-		checkLevels(row)
-	}
+	checkLevels(m.q1)
 	checkLevels(m.q2)
 	// The dead zone must actually fire: untrained embedding rows (slots
 	// that never occurred in this branch's history) quantize to zero.
 	zeroRows := 0
-	for _, row := range m.q1 {
+	for row := range slices.Chunk(m.q1, cfg.Filters) {
 		all := true
 		for _, v := range row {
 			if v != 0 {

@@ -1,9 +1,18 @@
 package cnn
 
 import (
+	"errors"
+	"fmt"
+
 	"branchlab/internal/bp"
 	"branchlab/internal/trace"
 )
+
+// ErrGeometryMismatch is matched (errors.Is) by the error Attach
+// returns for a helper whose history length or bucket count differs
+// from the overlay's encoding: its weights would be indexed with slots
+// and segments it was not trained on.
+var ErrGeometryMismatch = errors.New("cnn: helper geometry does not match the overlay")
 
 // Overlay deploys trained helper models alongside a baseline predictor,
 // the paper's §V deployment model: TAGE-SC-L stays in place for the vast
@@ -15,6 +24,7 @@ type Overlay struct {
 	helpers map[uint64]*Model
 
 	hist     []uint16
+	feat     []float32 // helper feature scratch, sized for every attached helper
 	lastBase bool
 	lastIP   uint64
 	haveLast bool
@@ -28,8 +38,21 @@ func NewOverlay(cfg Config, base bp.Predictor) *Overlay {
 	return &Overlay{Base: base, cfg: cfg, helpers: make(map[uint64]*Model)}
 }
 
-// Attach installs a trained helper for the branch at ip.
-func (o *Overlay) Attach(ip uint64, m *Model) { o.helpers[ip] = m }
+// Attach installs a trained helper for the branch at ip. The helper
+// must encode history as the overlay does: the same HistLen and
+// Buckets, or Attach returns an ErrGeometryMismatch error and installs
+// nothing.
+func (o *Overlay) Attach(ip uint64, m *Model) error {
+	if m.Cfg.HistLen != o.cfg.HistLen || m.Cfg.Buckets != o.cfg.Buckets {
+		return fmt.Errorf("%w: helper for %#x has HistLen %d, Buckets %d; overlay has HistLen %d, Buckets %d",
+			ErrGeometryMismatch, ip, m.Cfg.HistLen, m.Cfg.Buckets, o.cfg.HistLen, o.cfg.Buckets)
+	}
+	o.helpers[ip] = m
+	if n := m.Cfg.Segments * m.Cfg.Filters; n > len(o.feat) {
+		o.feat = make([]float32, n)
+	}
+	return nil
+}
 
 // Predict implements bp.Predictor.
 func (o *Overlay) Predict(ip uint64) bool {
@@ -38,7 +61,7 @@ func (o *Overlay) Predict(ip uint64) bool {
 	o.haveLast = true
 	if m, ok := o.helpers[ip]; ok && len(o.hist) >= o.cfg.HistLen {
 		o.HelperPredictions++
-		return m.Predict(o.hist[len(o.hist)-o.cfg.HistLen:])
+		return m.predict(o.hist[len(o.hist)-o.cfg.HistLen:], o.feat[:m.Cfg.Segments*m.Cfg.Filters])
 	}
 	return o.lastBase
 }

@@ -86,8 +86,10 @@ func (m *Model) WriteTo(w io.Writer) (int64, error) {
 	if err := write(q2b); err != nil {
 		return n, err
 	}
-	for i, row := range m.q1 {
-		if err := putF32(m.scale1[i]); err != nil {
+	nf := m.Cfg.Filters
+	for i, scale := range m.scale1 {
+		row := m.q1[i*nf : (i+1)*nf]
+		if err := putF32(scale); err != nil {
 			return n, err
 		}
 		rb := make([]byte, len(row))
@@ -165,7 +167,7 @@ func ReadModel(r io.Reader) (*Model, error) {
 			return nil, err
 		}
 		m.scale1 = append(m.scale1, scale)
-		m.q1 = append(m.q1, row)
+		m.q1 = append(m.q1, row...)
 	}
 	return m, nil
 }

@@ -11,6 +11,7 @@ package depgraph
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"branchlab/internal/trace"
@@ -27,9 +28,8 @@ type ringEntry struct {
 	ip     uint64
 	isCond bool
 	// srcVals are the value IDs (writer sequence numbers) the
-	// instruction read; 0 = unknown/outside window.
+	// instruction read; 0 = unknown (no recorded writer).
 	srcVals [3]uint64
-	dstsSeq bool // whether this instruction defined a value
 }
 
 // Analyzer tracks dependency branches for a set of target IPs. It
@@ -58,7 +58,59 @@ type Analyzer struct {
 	seq       uint64                //lint:ignore mergecomplete whole-trace sequence counter, identical across target-set shards
 
 	// scratch reused across analyses
-	closure map[uint64]struct{} //lint:ignore mergecomplete per-call scratch, cleared at the top of every analyze
+	closure closureSet //lint:ignore mergecomplete per-call scratch, cleared at the top of every analyze
+}
+
+// closureSet is analyze's scratch: the dataflow closure of one target
+// execution, a set of value IDs. A value written inside the window —
+// sequence numbers [lo, lo+Window) — is a bit of a bitset indexed by
+// seq & mask; the bitset has at least Window+1 bits, so no two window
+// values share a bit. The few older values the closure reaches (a
+// long-lived register, an old store) sit in a short list. DESIGN.md §13.
+type closureSet struct {
+	bits []uint64
+	mask uint64
+	lo   uint64
+	old  []uint64
+}
+
+// reset empties the set for a window of the given size starting at
+// sequence number lo.
+func (c *closureSet) reset(window int, lo uint64) {
+	n := uint64(64)
+	for n < uint64(window)+1 {
+		n <<= 1
+	}
+	if uint64(len(c.bits))*64 == n {
+		clear(c.bits)
+	} else {
+		c.bits = make([]uint64, n/64)
+	}
+	c.mask = n - 1
+	c.lo = lo
+	c.old = c.old[:0]
+}
+
+// add inserts value ID v (v != 0).
+func (c *closureSet) add(v uint64) {
+	if v >= c.lo {
+		c.bits[(v&c.mask)>>6] |= 1 << (v & 63)
+	} else if !slices.Contains(c.old, v) {
+		c.old = append(c.old, v)
+	}
+}
+
+// hasRecent is has for a value inside the window (v >= lo).
+func (c *closureSet) hasRecent(v uint64) bool {
+	return c.bits[(v&c.mask)>>6]&(1<<(v&63)) != 0
+}
+
+// has reports whether value ID v (v != 0) is in the set.
+func (c *closureSet) has(v uint64) bool {
+	if v >= c.lo {
+		return c.hasRecent(v)
+	}
+	return slices.Contains(c.old, v)
 }
 
 // targetState accumulates per-target results.
@@ -80,7 +132,6 @@ func New(window, maxSamples int, targets ...uint64) *Analyzer {
 		targets:    make(map[uint64]*targetState, len(targets)),
 		ring:       make([]ringEntry, window),
 		memWriter:  make(map[uint64]uint64),
-		closure:    make(map[uint64]struct{}),
 	}
 	for _, t := range targets {
 		a.targets[t] = &targetState{positions: make(map[uint64]map[int]uint64)}
@@ -173,21 +224,19 @@ func (a *Analyzer) Merge(other *Analyzer) {
 // conditional branch that reads a closure value at its history position
 // (1 = the branch immediately before the target).
 func (a *Analyzer) analyze(st *targetState, target ringEntry) {
-	closure := a.closure
-	for k := range closure {
-		delete(closure, k)
-	}
-	for _, v := range target.srcVals {
-		if v != 0 {
-			closure[v] = struct{}{}
-		}
-	}
-	if len(closure) == 0 {
+	if target.srcVals == [3]uint64{} {
 		return
 	}
 	minSeq := uint64(1)
 	if a.seq > uint64(a.Window) {
 		minSeq = a.seq - uint64(a.Window)
+	}
+	closure := &a.closure
+	closure.reset(a.Window, minSeq)
+	for _, v := range target.srcVals {
+		if v != 0 {
+			closure.add(v)
+		}
 	}
 	histPos := 0
 	// Walk newest -> oldest. Because values are writer sequence numbers
@@ -203,37 +252,28 @@ func (a *Analyzer) analyze(st *targetState, target ringEntry) {
 		if e.seq < minSeq {
 			break
 		}
-		if e.isCond {
-			histPos++
-		}
-		_, inClosure := closure[e.seq]
-		if inClosure {
+		if closure.hasRecent(e.seq) {
 			// This instruction defined a closure value: its inputs are
 			// also ground-truth-relevant.
 			for _, v := range e.srcVals {
 				if v != 0 {
-					closure[v] = struct{}{}
+					closure.add(v)
 				}
 			}
 		}
-		if e.isCond {
-			reads := false
-			for _, v := range e.srcVals {
-				if v == 0 {
-					continue
-				}
-				if _, ok := closure[v]; ok {
-					reads = true
-					break
-				}
-			}
-			if reads {
+		if !e.isCond {
+			continue
+		}
+		histPos++
+		for _, v := range e.srcVals {
+			if v != 0 && closure.has(v) {
 				m := st.positions[e.ip]
 				if m == nil {
 					m = make(map[int]uint64)
 					st.positions[e.ip] = m
 				}
 				m[histPos]++
+				break
 			}
 		}
 	}

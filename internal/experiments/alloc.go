@@ -136,7 +136,9 @@ func CNN(cfg Config) *report.Artifact {
 			}
 
 			overlay := cnn.NewOverlay(mcfg, tage.New(tage.Config8KB()))
-			overlay.Attach(target, model)
+			if err := overlay.Attach(target, model); err != nil {
+				engine.Abort(err)
+			}
 			colHelper := core.NewCollector(cfg.SliceLen)
 			core.Run(evalTrace.Stream(), overlay, colHelper)
 			helperStats := colHelper.Totals()[target]

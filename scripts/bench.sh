@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR13.json,
-# and diff the replay-loop and pipeline-stage benchmarks against the
-# previous committed baseline (BENCH_PR12.json) so regressions fail
-# loudly.
+# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR14.json,
+# and diff the replay-loop, pipeline-stage and analysis-kernel
+# benchmarks against the previous committed baseline (BENCH_PR13.json)
+# so regressions fail loudly.
 #
 # Tracked benchmarks (the perf trajectory of the replay refactors):
 #   BenchmarkRunAll/cache={off,on}      - full `-run all` registry, uncached vs cached;
@@ -37,6 +37,11 @@
 #                                       - one trace's 3-scale x 4-regime IPC sweep:
 #                                         shared stages + per-cell timing vs the
 #                                         fused pipeline.Reference model per cell
+#   BenchmarkCNNTrain                   - one CNN helper's offline training (float and
+#                                         quantization-aware epochs) on the top H2P's
+#                                         samples from one 1M-instruction trace
+#   BenchmarkDepgraphAnalyze            - the §IV-A dependency analysis of that H2P
+#                                         (5000-instruction window, 4000 executions)
 #   BenchmarkFig5Parallel/workers=N     - engine scaling (meaningful on multi-core hosts)
 #   BenchmarkRecordSharded/shards=N     - sharded deterministic trace recording
 #
@@ -59,7 +64,7 @@
 #      model on the same sweep (PipelineSweep/reference). Annotating
 #      and predicting once per trace exists to make the sweep cheaper;
 #      a ratio above PIPE_MAX fails the script.
-#   4. Cross-run diff vs the committed BENCH_PR12.json baseline:
+#   4. Cross-run diff vs the committed BENCH_PR13.json baseline:
 #      printed for trend tracking; it only FAILS when BASELINE_GATE=1,
 #      because absolute ns/op from a different host (e.g. a CI runner
 #      vs the machine that recorded the baseline) cannot gate
@@ -85,9 +90,9 @@
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
-out="${1:-BENCH_PR13.json}"
+out="${1:-BENCH_PR14.json}"
 benchtime="${BENCHTIME:-1s}"
-baseline="${BASELINE:-BENCH_PR12.json}"
+baseline="${BASELINE:-BENCH_PR13.json}"
 regmax="${REGRESSION_MAX:-1.30}"
 blockmax="${BLOCK_MAX:-1.25}"
 tagemax="${TAGE_MAX:-1.00}"
@@ -97,7 +102,7 @@ raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' \
-  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkPipeline(Annotate|Predict|Time|Time16x|Sweep)$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$' \
+  -bench 'BenchmarkRunAll$|BenchmarkCoreRun$|BenchmarkTAGEPredictTrain$|BenchmarkPipeline(Annotate|Predict|Time|Time16x|Sweep)$|BenchmarkCNNTrain$|BenchmarkDepgraphAnalyze$|BenchmarkTraceCacheHit$|BenchmarkTraceCacheSlicedReplay$|BenchmarkEvictedRefill$|BenchmarkFig5Parallel$|BenchmarkRecordSharded$' \
   -benchtime "$benchtime" . | tee "$raw" >&2
 
 awk -v benchtime="$benchtime" '
@@ -140,6 +145,8 @@ BenchmarkPipelineTime
 BenchmarkPipelineTime16x
 BenchmarkPipelineSweep/layered
 BenchmarkPipelineSweep/reference
+BenchmarkCNNTrain
+BenchmarkDepgraphAnalyze
 BenchmarkTraceCacheHit
 BenchmarkTraceCacheSlicedReplay/resident
 BenchmarkTraceCacheSlicedReplay/evicted
@@ -233,7 +240,8 @@ elif [ "$(awk -v r="$ratio" -v m="$pipemax" 'BEGIN { print (r > m) ? 1 : 0 }')" 
 fi
 
 # 4. Cross-run diff vs the committed baseline (RunAll, CoreRun,
-# RecordSharded and the pipeline stages; the other benchmarks measure a
+# RecordSharded, the pipeline stages and the analysis kernels; the
+# other benchmarks measure a
 # path whose work changed shape between PRs and so have no comparable
 # baseline). Printed for trend tracking; enforced only with
 # BASELINE_GATE=1 since absolute ns/op only compare on the host that
@@ -250,7 +258,7 @@ else
   echo "diff vs $baseline (informational unless BASELINE_GATE=1; max ${regmax}x):" >&2
   while read -r name ns; do
     case "$name" in
-      BenchmarkRunAll/*|BenchmarkCoreRun/observers=*|BenchmarkRecordSharded/*|BenchmarkPipeline*) ;;
+      BenchmarkRunAll/*|BenchmarkCoreRun/observers=*|BenchmarkRecordSharded/*|BenchmarkPipeline*|BenchmarkCNNTrain|BenchmarkDepgraphAnalyze) ;;
       *) continue ;;
     esac
     base_ns="$(parse "$baseline" | awk -v n="$name" '$1 == n { print $2 }')"
