@@ -1,6 +1,7 @@
 package branchlab_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"runtime"
@@ -265,7 +266,7 @@ func pipelineBenchTrace(b *testing.B) *trace.Buffer {
 	if !ok {
 		b.Fatal("605.mcf_s not found")
 	}
-	return spec.Record(0, 300_000)
+	return branchlab.RecordTrace(spec, 0, 300_000)
 }
 
 // BenchmarkPipelineAnnotate, BenchmarkPipelinePredict and
@@ -367,7 +368,7 @@ func h2pBenchInput(b *testing.B) (*trace.Buffer, uint64) {
 	if !ok {
 		b.Fatal("605.mcf_s not found")
 	}
-	tr := spec.Record(0, budget)
+	tr := branchlab.RecordTrace(spec, 0, budget)
 	col := core.NewCollector(sliceLen)
 	core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
 	hh := core.PaperCriteria().Scaled(sliceLen).Screen(col).HeavyHitters()
@@ -434,10 +435,15 @@ func BenchmarkRecordSharded(b *testing.B) {
 func BenchmarkTraceCacheHit(b *testing.B) {
 	spec, _ := branchlab.Workload("605.mcf_s")
 	cache := branchlab.NewTraceCache(0)
-	branchlab.RecordTraceCached(cache, spec, 0, 500_000) // warm
+	ctx := context.Background()
+	if _, err := branchlab.RecordTraceCached(ctx, cache, spec, 0, 500_000); err != nil { // warm
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		branchlab.RecordTraceCached(cache, spec, 0, 500_000)
+		if _, err := branchlab.RecordTraceCached(ctx, cache, spec, 0, 500_000); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -465,7 +471,10 @@ func BenchmarkTraceCacheSlicedReplay(b *testing.B) {
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			cache := branchlab.NewSlicedTraceCache(tc.cap, sliceInsts)
-			tr := branchlab.RecordTraceCached(cache, spec, 0, budget)
+			tr, err := branchlab.RecordTraceCached(context.Background(), cache, spec, 0, budget)
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.SetBytes(budget)
 			b.ResetTimer()
 			var peak int64
@@ -496,7 +505,12 @@ func BenchmarkEvictedRefill(b *testing.B) {
 	spec, _ := branchlab.Workload("605.mcf_s")
 	// One checkpointed recording, as the cache performs on a miss; the
 	// header's checkpoint list is what the refills below resume from.
-	_, cks := spec.RecordSlices(0, budget, window, nil, 1, window)
+	ctx := context.Background()
+	rec, err := spec.Record(ctx, 0, budget, program.Request{SliceLen: window, CkptEvery: window})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cks := rec.Ckpts
 	if len(cks) == 0 {
 		b.Fatal("workload captured no checkpoints")
 	}
@@ -514,20 +528,20 @@ func BenchmarkEvictedRefill(b *testing.B) {
 		for _, mode := range []string{"skim", "ckpt"} {
 			b.Run(fmt.Sprintf("mode=%s/pos=%s", mode, pos.name), func(b *testing.B) {
 				b.SetBytes(window)
+				req := program.Request{Lo: pos.lo, Hi: pos.lo + window}
+				if mode == "ckpt" {
+					req.From = cks
+				}
 				for i := 0; i < b.N; i++ {
-					var got []branchlab.Inst
-					if mode == "skim" {
-						got = spec.RecordRange(0, budget, pos.lo, pos.lo+window)
-					} else {
-						ck := program.NearestCheckpoint(cks, pos.lo)
-						var err error
-						got, err = spec.RecordRangeFrom(0, budget, ck, pos.lo, pos.lo+window)
-						if err != nil {
-							b.Fatal(err)
-						}
+					got, err := spec.Record(ctx, 0, budget, req)
+					if err != nil {
+						b.Fatal(err)
 					}
-					if uint64(len(got)) != window {
-						b.Fatalf("refill returned %d insts, want %d", len(got), window)
+					if got.Resumed != (mode == "ckpt") {
+						b.Fatalf("mode %s: refill resumed = %v", mode, got.Resumed)
+					}
+					if n := got.Buffer().Len(); uint64(n) != window {
+						b.Fatalf("refill returned %d insts, want %d", n, window)
 					}
 				}
 			})

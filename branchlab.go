@@ -12,7 +12,8 @@
 // use:
 //
 //	spec, _ := branchlab.Workload("605.mcf_s")
-//	stream := spec.Stream(0, 2_000_000)
+//	stream, err := spec.Stream(ctx, 0, 2_000_000)
+//	if err != nil { ... }
 //	defer branchlab.CloseStream(stream)
 //
 //	pred := branchlab.NewTAGESCL(8)
@@ -175,18 +176,28 @@ func ScreenH2Ps(col *Collector, sliceLen uint64) *H2PReport {
 func CloseStream(s Stream) error { return trace.CloseStream(s) }
 
 // RecordTrace materializes up to budget instructions from a workload
-// input.
+// input. A failure (an input the workload does not have, a payload
+// abort) escalates via engine.Abort; use WorkloadSpec.Record for the
+// error-returning, context-bounded form.
 func RecordTrace(spec *WorkloadSpec, input int, budget uint64) *Buffer {
-	return spec.Record(input, budget)
+	return RecordTraceSharded(spec, input, budget, nil, 1)
 }
 
 // RecordTraceSharded is RecordTrace with the generation split across
 // pool workers (nil selects a NumCPU pool): each worker deterministically
 // regenerates the trace from its seed and materializes one disjoint
 // range of the backing array. The result is byte-identical to
-// RecordTrace at any shard count.
+// RecordTrace at any shard count. A pool bound to a context
+// (EnginePool.WithContext) bounds the recording too.
 func RecordTraceSharded(spec *WorkloadSpec, input int, budget uint64, pool *EnginePool, shards int) *Buffer {
-	return spec.RecordSharded(input, budget, pool, shards)
+	if pool == nil {
+		pool = engine.New(0)
+	}
+	rec, err := spec.Record(pool.Context(), input, budget, program.Request{Shards: shards, Pool: pool})
+	if err != nil {
+		engine.Abort(err)
+	}
+	return rec.Buffer()
 }
 
 // TraceCache is a content-keyed, concurrency-safe cache of recorded
@@ -242,17 +253,6 @@ func OpenTraceStore(dir string, maxBytes int64) (*TraceStore, error) {
 	return tracestore.Open(dir, maxBytes)
 }
 
-// RecordTraceCachedCtx is RecordTraceCached under a caller context: a
-// cancelled or deadline-expired recording returns a typed error (see
-// IsCancel) and never a truncated or wrong trace. Concurrent callers
-// coalesce; a cancelled waiter detaches without disturbing the shared
-// recording, and a cancelled leader hands the recording off to a
-// surviving waiter (DESIGN.md §9).
-func RecordTraceCachedCtx(ctx context.Context, c *TraceCache, spec *WorkloadSpec, input int, budget uint64) (Replayable, error) {
-	return c.RecordCtx(ctx, spec.Name, input, budget,
-		spec.CacheSource(input, budget, nil, 1, workload.CkptPerCacheSlice))
-}
-
 // RecordTraceCached is RecordTrace through a shared cache: it records on
 // the first request for (spec, input, budget) and serves replayable
 // views from memory afterwards, re-materializing any slice the cache
@@ -262,10 +262,16 @@ func RecordTraceCachedCtx(ctx context.Context, c *TraceCache, spec *WorkloadSpec
 // the whole prefix. Workload traces are budget-sensitive (their static
 // structure scales with the budget), so each requested budget is its
 // own cache entry, never a truncated prefix of a larger recording. A
-// nil cache degrades to RecordTrace.
-func RecordTraceCached(c *TraceCache, spec *WorkloadSpec, input int, budget uint64) Replayable {
-	return c.Record(spec.Name, input, budget,
-		spec.CacheSource(input, budget, nil, 1, workload.CkptPerCacheSlice))
+// nil cache records the whole trace.
+//
+// ctx bounds the call: a cancelled or deadline-expired recording
+// returns a typed error (see IsCancel) and never a truncated or wrong
+// trace. Concurrent callers coalesce; a cancelled waiter detaches
+// without disturbing the shared recording, and a cancelled leader hands
+// the recording off to a surviving waiter (DESIGN.md §9).
+func RecordTraceCached(ctx context.Context, c *TraceCache, spec *WorkloadSpec, input int, budget uint64) (Replayable, error) {
+	return c.Record(ctx, spec.Name, input, budget,
+		spec.CacheSource(input, budget, nil, 1, tracecache.CkptPerSlice))
 }
 
 // SkylakeConfig returns the baseline pipeline configuration; scale it

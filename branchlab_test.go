@@ -2,6 +2,7 @@ package branchlab_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"branchlab"
@@ -68,7 +69,10 @@ func TestFacadeSuites(t *testing.T) {
 
 func TestFacadePhases(t *testing.T) {
 	spec, _ := branchlab.Workload("620.omnetpp_s")
-	s := spec.Stream(0, 400_000)
+	s, err := spec.Stream(context.Background(), 0, 400_000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer branchlab.CloseStream(s)
 	k := branchlab.CountPhases(s, 50_000, 16)
 	if k < 2 {

@@ -235,10 +235,13 @@ func run(ctx context.Context, workloadName string, input int, traceFile, predNam
 			return nil, nil, fmt.Errorf("unknown workload %q (use -list)", workloadName)
 		}
 		if cache == nil {
-			s := spec.StreamCtx(ctx, input, budget)
+			s, err := spec.Stream(ctx, input, budget)
+			if err != nil {
+				return nil, nil, err
+			}
 			return s, func() { trace.CloseStream(s) }, nil
 		}
-		tr, err := cache.RecordCtx(ctx, spec.Name, input, budget,
+		tr, err := cache.Record(ctx, spec.Name, input, budget,
 			spec.CacheSource(input, budget, engine.New(parallel).WithContext(ctx), recShards, ckptSliceInsts))
 		if err != nil {
 			return nil, nil, err

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 
 	"branchlab/internal/pipeline"
+	"branchlab/internal/workload"
 )
 
 func TestParseScales(t *testing.T) {
@@ -27,5 +29,19 @@ func TestParseScales(t *testing.T) {
 	// Past maxK the issue width no longer fits the limiters' counts.
 	if _, err := parseScales("4,10923"); !errors.Is(err, pipeline.ErrInvalidConfig) || maxK != 10922 {
 		t.Errorf(`parseScales("4,10923") = %v, want ErrInvalidConfig (max scale %d)`, err, maxK)
+	}
+}
+
+// An -input the workload does not have fails typed, naming the valid
+// range, on both the streaming and the cached (multi-scale) paths —
+// never a panic.
+func TestRunInputOutOfRange(t *testing.T) {
+	for _, input := range []int{99, -1} {
+		for _, scales := range [][]int{nil, {1, 2}} {
+			err := run(context.Background(), "605.mcf_s", input, "", "tage-sc-l-8", 1000, 500, scales, 1, 1)
+			if !errors.Is(err, workload.ErrInputRange) {
+				t.Errorf("run(-input %d, -pipeline %v) = %v, want ErrInputRange", input, scales, err)
+			}
+		}
 	}
 }

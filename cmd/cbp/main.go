@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -71,9 +72,15 @@ func run(suite string, budget uint64, predictorList string) error {
 			if err != nil {
 				return err
 			}
-			st := s.Stream(0, budget)
+			st, err := s.Stream(context.Background(), 0, budget)
+			if err != nil {
+				return err
+			}
 			stats := core.Run(st, p)
 			trace.CloseStream(st)
+			if err := trace.StreamErr(st); err != nil {
+				return err
+			}
 			row = append(row, fmt.Sprintf("%.2f", stats.MPKI()))
 			total += stats.MPKI()
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -48,10 +49,16 @@ func run(name string, inputs int, budget, slice uint64) error {
 
 	var reports []*core.H2PReport
 	for in := 0; in < inputs; in++ {
-		s := spec.Stream(in, budget)
+		s, err := spec.Stream(context.Background(), in, budget)
+		if err != nil {
+			return err
+		}
 		col := core.NewCollector(slice)
 		stats := core.Run(s, tage.New(tage.Config8KB()), col)
 		trace.CloseStream(s)
+		if err := trace.StreamErr(s); err != nil {
+			return err
+		}
 		rep := crit.Screen(col)
 		reports = append(reports, rep)
 		fmt.Printf("input %d: accuracy %.4f, %d H2Ps (%.1f/slice), %.1f%% of mispredictions\n",

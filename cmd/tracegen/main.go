@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,6 +36,13 @@ func run(name string, input int, budget uint64, out string) error {
 	if !ok {
 		return fmt.Errorf("unknown workload %q", name)
 	}
+	// Start the generator before creating the file, so a bad input
+	// leaves nothing behind.
+	s, err := spec.Stream(context.Background(), input, budget)
+	if err != nil {
+		return err
+	}
+	defer trace.CloseStream(s)
 	if out == "" {
 		out = fmt.Sprintf("%s.%d.blt", spec.Name, input)
 	}
@@ -43,9 +51,6 @@ func run(name string, input int, budget uint64, out string) error {
 		return err
 	}
 	defer f.Close()
-
-	s := spec.Stream(input, budget)
-	defer trace.CloseStream(s)
 	w := trace.NewWriter(f)
 	var inst trace.Inst
 	var n uint64
@@ -54,6 +59,9 @@ func run(name string, input int, budget uint64, out string) error {
 			return err
 		}
 		n++
+	}
+	if err := trace.StreamErr(s); err != nil {
+		return err
 	}
 	if err := w.Flush(); err != nil {
 		return err

@@ -1,11 +1,13 @@
 package depgraph
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"branchlab/internal/core"
+	"branchlab/internal/program"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/workload"
@@ -204,7 +206,7 @@ func TestAnalyzeMatchesReferenceWorkloads(t *testing.T) {
 	withDeps := 0
 	for _, spec := range workload.SPECint2017Like() {
 		t.Run(spec.Name, func(t *testing.T) {
-			tr := spec.Record(0, budget)
+			tr := recordWorkload(t, spec, budget)
 			col := core.NewCollector(sliceLen)
 			core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
 			hh := core.PaperCriteria().Scaled(sliceLen).Screen(col).HeavyHitters()
@@ -222,4 +224,15 @@ func TestAnalyzeMatchesReferenceWorkloads(t *testing.T) {
 	if withDeps < 4 {
 		t.Errorf("only %d workload targets have dependency branches", withDeps)
 	}
+}
+
+// recordWorkload records input 0 of s at budget, failing the test on
+// error.
+func recordWorkload(t testing.TB, s *workload.Spec, budget uint64) *trace.Buffer {
+	t.Helper()
+	rec, err := s.Record(context.Background(), 0, budget, program.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Buffer()
 }

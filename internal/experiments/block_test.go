@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"branchlab/internal/core"
 	"branchlab/internal/pipeline"
+	"branchlab/internal/program"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/workload"
@@ -26,7 +28,7 @@ func TestBlockSizeSweepByteIdentical(t *testing.T) {
 	if !ok {
 		t.Fatal("workload missing")
 	}
-	tr := spec.Record(0, 150_000)
+	tr := recordWorkload(t, spec, 150_000)
 	const sliceLen = 50_000
 
 	wantCol := core.NewCollector(sliceLen)
@@ -58,4 +60,15 @@ func TestBlockSizeSweepByteIdentical(t *testing.T) {
 			t.Fatalf("block=%d: pipeline result %+v != %+v", n, res, wantIPC)
 		}
 	}
+}
+
+// recordWorkload records input 0 of s at budget, failing the test on
+// error.
+func recordWorkload(t testing.TB, s *workload.Spec, budget uint64) *trace.Buffer {
+	t.Helper()
+	rec, err := s.Record(context.Background(), 0, budget, program.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Buffer()
 }

@@ -37,7 +37,7 @@ type Config struct {
 
 	// RecordShards, when > 1, records each trace by generating disjoint
 	// instruction ranges on up to that many engine workers
-	// (program.RecordSharded; each recording's worker count is capped
+	// (program.Request.Shards; each recording's worker count is capped
 	// by Workers). Sharded recording is byte-identical to sequential
 	// recording, so artifacts are unaffected in every mode. Note the
 	// worker budgets multiply: drivers recording several traces
@@ -131,25 +131,13 @@ func (c Config) Pool() *engine.Pool {
 // itself runs sharded across engine workers (byte-identical output).
 // The returned trace replays identically whether it is a plain buffer
 // (nil cache) or a cache view re-materializing evicted slices on
-// demand (Spec.RecordRange, the reseed-and-skim path).
+// demand.
 // Recording honours the run context: a cancelled or expired run fails
 // with a typed error escalated to the Runner.RunErr boundary — a
 // truncated trace is never returned.
 func (c Config) RecordTrace(s *workload.Spec, input int) trace.Replayable {
-	ctx := c.Context()
-	var (
-		tr  trace.Replayable
-		err error
-	)
-	switch {
-	case c.Cache == nil && c.RecordShards > 1:
-		tr, err = s.RecordShardedFromCtx(ctx, input, c.Budget, c.Pool(), c.RecordShards, nil)
-	case c.Cache == nil:
-		tr, err = s.RecordCtx(ctx, input, c.Budget)
-	default:
-		tr, err = c.Cache.RecordCtx(ctx, s.Name, input, c.Budget,
-			s.CacheSource(input, c.Budget, c.Pool(), c.RecordShards, c.CkptSlice))
-	}
+	tr, err := c.Cache.Record(c.Context(), s.Name, input, c.Budget,
+		s.CacheSource(input, c.Budget, c.Pool(), c.RecordShards, c.CkptSlice))
 	if err != nil {
 		engine.Abort(err)
 	}

@@ -41,7 +41,7 @@ const (
 	// of running, and the whole Map aborts with it.
 	EngineDispatch Point = "engine/dispatch"
 	// CacheRecord fails a singleflight leader's recording
-	// (tracecache.Cache.RecordCtx): the typed error propagates to every
+	// (tracecache.Cache.Record): the typed error propagates to every
 	// coalesced waiter and the entry is withdrawn.
 	CacheRecord Point = "tracecache/record"
 	// CacheResume fails a checkpoint resume during an evicted-slice

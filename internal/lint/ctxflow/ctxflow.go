@@ -23,8 +23,8 @@
 // Recognized clean idioms for check 1:
 //
 //   - the legacy bridge: a function F whose own Ctx sibling exists
-//     (program.Run calling RunCtx(context.Background(), ...)) is the
-//     designated compatibility shim;
+//     (F calling FCtx(context.Background(), ...)) is the designated
+//     compatibility shim;
 //   - the defaulting accessor: a function whose result type is
 //     context.Context (Pool.Context, Config.Context) exists to give
 //     callers a never-nil context;
@@ -32,7 +32,10 @@
 //     existing context variable (the documented no-context fast path).
 //
 // Everything else needs a justified //lint:ignore ctxflow — the
-// deliberately context-free refill paths in tracecache carry one.
+// deadline root of experiments.Runner.RunErr carries one. Work that
+// must outlive its caller's cancellation but keep its values (the trace
+// cache's slice refills) derives its context with context.WithoutCancel
+// instead of minting a root.
 package ctxflow
 
 import (

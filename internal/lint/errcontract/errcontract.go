@@ -1,6 +1,7 @@
 // Package errcontract enforces the error-surface contract of
-// DESIGN.md §8: the library layers (program, tracecache, tracestore,
-// engine, xrand) report failures as error values, never as panics
+// DESIGN.md §8: the library layers (program, workload, tracecache,
+// tracestore, trace, engine, cnn, xrand) report failures as error
+// values, never as panics
 // reachable from caller-controlled input, and callers discriminate
 // errors with errors.Is — not pointer identity, not string matching.
 //
@@ -65,9 +66,12 @@ var Analyzer = &analysis.Analyzer{
 // panic-free; sentinel checks apply to every package.
 var targetBases = map[string]bool{
 	"program":    true,
+	"workload":   true,
 	"tracecache": true,
 	"tracestore": true,
+	"trace":      true,
 	"engine":     true,
+	"cnn":        true,
 	"xrand":      true,
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 
 	"branchlab/internal/bp"
 	"branchlab/internal/core"
+	"branchlab/internal/program"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/workload"
@@ -54,7 +56,7 @@ func TestLayeredMatchesReference(t *testing.T) {
 	for _, s := range allWorkloads() {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			tr := s.Record(0, layeredBudget)
+			tr := recordWorkload(t, s, layeredBudget)
 			h2ps := everyThirdCondIP(tr)
 			regimes := []struct {
 				name string
@@ -105,7 +107,7 @@ func TestLayeredMatchesReferenceOtherMachines(t *testing.T) {
 			if !ok {
 				t.Fatalf("workload %s missing", name)
 			}
-			tr := s.Record(0, layeredBudget)
+			tr := recordWorkload(t, s, layeredBudget)
 			a := Annotate(m.cfg, tr)
 			for _, k := range []int{1, 4} {
 				cfg := m.cfg.Scaled(k)
@@ -134,7 +136,7 @@ func TestLayeredMatchesReferenceWideScales(t *testing.T) {
 	for _, s := range allWorkloads() {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			tr := s.Record(0, layeredBudget)
+			tr := recordWorkload(t, s, layeredBudget)
 			a := Annotate(Skylake(), tr)
 			for _, k := range []int{128, 256} {
 				cfg := Skylake().Scaled(k)
@@ -241,7 +243,7 @@ func TestTimingInvariants(t *testing.T) {
 	for _, s := range allWorkloads() {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			tr := s.Record(0, layeredBudget)
+			tr := recordWorkload(t, s, layeredBudget)
 			miss := core.RunMispredicts(tr.BlockStream(0), tage.New(tage.Config8KB()))
 			st := core.Run(tr.Stream(), tage.New(tage.Config8KB()))
 			if miss.Len() != st.CondExecs || miss.Count() != st.Mispreds {
@@ -491,4 +493,15 @@ func FuzzWidthLimiters(f *testing.F) {
 			}
 		}
 	})
+}
+
+// recordWorkload records input 0 of s at budget, failing the test on
+// error.
+func recordWorkload(t testing.TB, s *workload.Spec, budget uint64) *trace.Buffer {
+	t.Helper()
+	rec, err := s.Record(context.Background(), 0, budget, program.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Buffer()
 }

@@ -1,16 +1,16 @@
 // Cancellation: the recording half of the failure contract
 // (DESIGN.md §9).
 //
-// A context threaded into a recording entry point (RunCtx, RecordCtx,
-// RecordSlicesCtx, RecordShardedFromCtx) bounds the generation. The
+// The context handed to Record or Run bounds the generation. The
 // emitter checks it only at points where stopping is provably safe —
 // payload checkpoint safe points (Emitter.Checkpoint), slice-window
-// retirement, and batch flushes — and stopping means unwinding the
-// payload and discarding everything materialized so far. A cancelled
-// recording therefore returns (nil, err): it never returns a
-// truncated or otherwise wrong byte sequence. The returned error
-// matches both ErrCanceled and the context's own cause under
-// errors.Is, so engine.IsCancel classifies it as retryable.
+// retirement, every batchSize instructions of a direct recording, and
+// Run's batch flushes — and stopping means unwinding the payload and
+// discarding everything materialized so far. A cancelled Record
+// therefore returns a typed error and no arrays: never a truncated or
+// otherwise wrong byte sequence. The returned error matches both
+// ErrCanceled and the context's own cause under errors.Is, so
+// engine.IsCancel classifies it as retryable.
 package program
 
 import (

@@ -57,7 +57,7 @@ func TestRunCtxCancelEndsStreamTyped(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := RunCtx(ctx, 1, 10_000_000, selfCancelPayload(cancel, 100_000, false))
+	s := Run(ctx, 1, 10_000_000, selfCancelPayload(cancel, 100_000, false))
 	n := trace.Count(s)
 	if err := s.Err(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("Stream.Err() = %v, want ErrCanceled", err)
@@ -71,15 +71,16 @@ func TestRunCtxCancelEndsStreamTyped(t *testing.T) {
 }
 
 // TestRunCtxUncancelledIsByteIdentical: running under a context that
-// never fires changes nothing — same bytes as the context-free path.
+// never fires changes nothing — same bytes as under the background
+// context.
 func TestRunCtxUncancelledIsByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	want := Record(7, 50_000, countingPayload)
-	s := RunCtx(ctx, 7, 50_000, countingPayload)
+	want := record(t, 7, 50_000, countingPayload)
+	s := Run(ctx, 7, 50_000, countingPayload)
 	got := trace.RecordSized(s, 50_000)
 	if err := s.Err(); err != nil {
-		t.Fatalf("uncancelled RunCtx stream erred: %v", err)
+		t.Fatalf("uncancelled Run stream erred: %v", err)
 	}
 	if got.Len() != want.Len() {
 		t.Fatalf("lengths differ: %d vs %d", got.Len(), want.Len())
@@ -92,17 +93,18 @@ func TestRunCtxUncancelledIsByteIdentical(t *testing.T) {
 }
 
 // TestRecordCtxCancelReturnsTypedError: a cancelled recording returns
-// (nil, err) — never a truncated buffer.
+// a typed error and no arrays — never a truncated buffer — even for a
+// payload that declares no safe points (the periodic poll stops it).
 func TestRecordCtxCancelReturnsTypedError(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	buf, err := RecordCtx(ctx, 1, 10_000_000, selfCancelPayload(cancel, 100_000, false))
-	if buf != nil {
-		t.Fatalf("cancelled RecordCtx returned a %d-inst buffer", buf.Len())
+	rec, err := Record(ctx, 1, 10_000_000, selfCancelPayload(cancel, 100_000, false), Request{})
+	if rec.Slices != nil {
+		t.Fatalf("cancelled Record returned %d arrays", len(rec.Slices))
 	}
 	if !errors.Is(err, ErrCanceled) || !engine.IsCancel(err) {
-		t.Fatalf("RecordCtx = %v, want a typed cancellation", err)
+		t.Fatalf("Record = %v, want a typed cancellation", err)
 	}
 }
 
@@ -110,12 +112,12 @@ func TestRecordCtxCancelReturnsTypedError(t *testing.T) {
 // recording with an error carrying the panic, not the process.
 func TestRecordCtxPayloadPanicIsTypedError(t *testing.T) {
 	defer leakCheck(t)()
-	buf, err := RecordCtx(context.Background(), 1, 1000, func(e *Emitter) {
+	rec, err := Record(context.Background(), 1, 1000, func(e *Emitter) {
 		e.Compute(10)
 		panic("payload bug")
-	})
-	if buf != nil || err == nil {
-		t.Fatalf("RecordCtx(panicking payload) = %v, %v", buf, err)
+	}, Request{})
+	if rec.Slices != nil || err == nil {
+		t.Fatalf("Record(panicking payload) = %d arrays, %v", len(rec.Slices), err)
 	}
 	if errors.Is(err, ErrCanceled) || engine.IsCancel(err) {
 		t.Fatalf("payload panic misclassified as cancellation: %v", err)
@@ -131,12 +133,12 @@ func TestRecordCtxPayloadPanicIsTypedError(t *testing.T) {
 func TestRecordCtxAbortPropagates(t *testing.T) {
 	defer leakCheck(t)()
 	boom := errors.New("impossible configuration")
-	_, err := RecordCtx(context.Background(), 1, 1000, func(e *Emitter) {
+	_, err := Record(context.Background(), 1, 1000, func(e *Emitter) {
 		e.Compute(10)
 		e.Abort(boom)
-	})
+	}, Request{})
 	if !errors.Is(err, boom) {
-		t.Fatalf("RecordCtx(aborting payload) = %v, want %v", err, boom)
+		t.Fatalf("Record(aborting payload) = %v, want %v", err, boom)
 	}
 	if engine.IsCancel(err) {
 		t.Fatal("payload abort misclassified as cancellation")
@@ -149,30 +151,28 @@ func TestRecordSlicesCtxCancelViaCheckpointPoint(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, cks, err := RecordSlicesCtx(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, true),
-		1_000_000, nil, 1, 0)
-	if out != nil || cks != nil {
-		t.Fatalf("cancelled RecordSlicesCtx returned data: %d slices, %d ckpts", len(out), len(cks))
+	rec, err := Record(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, true), Request{SliceLen: 1_000_000})
+	if rec.Slices != nil || rec.Ckpts != nil {
+		t.Fatalf("cancelled Record returned data: %d slices, %d ckpts", len(rec.Slices), len(rec.Ckpts))
 	}
 	if !errors.Is(err, ErrCanceled) || !engine.IsCancel(err) {
-		t.Fatalf("RecordSlicesCtx = %v, want a typed cancellation", err)
+		t.Fatalf("Record = %v, want a typed cancellation", err)
 	}
 }
 
 // TestRecordSlicesCtxCancelViaWindowRetirement: without any Checkpoint
-// calls, retiring a filled slice window is the byte-safe point a
-// cancelled direct-path recording unwinds at.
+// calls, retiring a filled slice window is a byte-safe point a
+// cancelled recording unwinds at.
 func TestRecordSlicesCtxCancelViaWindowRetirement(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	out, _, err := RecordSlicesCtx(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, false),
-		1_000, nil, 1, 0)
-	if out != nil {
-		t.Fatalf("cancelled RecordSlicesCtx returned %d slices", len(out))
+	rec, err := Record(ctx, 1, 1_000_000, selfCancelPayload(cancel, 10_000, false), Request{SliceLen: 1_000})
+	if rec.Slices != nil {
+		t.Fatalf("cancelled Record returned %d slices", len(rec.Slices))
 	}
 	if !errors.Is(err, ErrCanceled) || !engine.IsCancel(err) {
-		t.Fatalf("RecordSlicesCtx = %v, want a typed cancellation", err)
+		t.Fatalf("Record = %v, want a typed cancellation", err)
 	}
 }
 
@@ -182,33 +182,26 @@ func TestRecordShardedFromCtxCancelTyped(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	buf, err := RecordShardedFromCtx(ctx, 1, 100_000, countingPayload, engine.New(4), 4, nil)
-	if buf != nil {
-		t.Fatalf("cancelled sharded recording returned a %d-inst buffer", buf.Len())
+	rec, err := Record(ctx, 1, 100_000, countingPayload, Request{Shards: 4, Pool: engine.New(4)})
+	if rec.Slices != nil {
+		t.Fatalf("cancelled sharded recording returned %d arrays", len(rec.Slices))
 	}
-	if !engine.IsCancel(err) {
-		t.Fatalf("RecordShardedFromCtx = %v, want a cancellation", err)
+	if !errors.Is(err, ErrCanceled) || !engine.IsCancel(err) {
+		t.Fatalf("sharded Record = %v, want a typed cancellation", err)
 	}
 }
 
-// TestRecordShardedFromCtxUncancelledByteIdentical: the ctx-bound
-// sharded path under an inert context matches sequential recording.
+// TestRecordShardedFromCtxUncancelledByteIdentical: the sharded path
+// under an inert context matches sequential recording.
 func TestRecordShardedFromCtxUncancelledByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	want := Record(11, 40_000, countingPayload)
-	got, err := RecordShardedFromCtx(ctx, 11, 40_000, countingPayload, engine.New(4), 4, nil)
+	want := record(t, 11, 40_000, countingPayload)
+	rec, err := Record(ctx, 11, 40_000, countingPayload, Request{Shards: 4, Pool: engine.New(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("lengths differ: %d vs %d", got.Len(), want.Len())
-	}
-	for i := 0; i < got.Len(); i++ {
-		if got.At(i) != want.At(i) {
-			t.Fatalf("inst %d differs under an inert context", i)
-		}
-	}
+	assertSameBuffer(t, rec.Buffer(), want, "inert context")
 }
 
 // TestStreamErrHelper: trace.StreamErr surfaces the typed error through
@@ -217,7 +210,7 @@ func TestStreamErrHelper(t *testing.T) {
 	defer leakCheck(t)()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	s := RunCtx(ctx, 1, 10_000_000, selfCancelPayload(cancel, 50_000, false))
+	s := Run(ctx, 1, 10_000_000, selfCancelPayload(cancel, 50_000, false))
 	trace.Count(s)
 	if err := trace.StreamErr(s); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("trace.StreamErr = %v, want ErrCanceled", err)

@@ -5,10 +5,11 @@
 // always required replaying the prefix [0, lo) to rebuild that state.
 // A Checkpoint captures everything the continuation depends on — the
 // xrand stream, the emitter's counters and call stack, and the
-// payload's private state — at payload-declared safe points, so a
-// later RecordRangeFrom resumes from the nearest checkpoint at or
-// below lo instead of skimming the prefix: an evicted-slice refill
-// becomes O(window) and sharded re-recording embarrassingly parallel.
+// payload's private state — at payload-declared safe points
+// (Request.CkptEvery), so a later Record handed them in Request.From
+// resumes each shard from the nearest checkpoint at or below its range
+// start instead of skimming the prefix: an evicted-slice refill becomes
+// O(window) and sharded re-recording embarrassingly parallel.
 //
 // The contract a payload opts into:
 //
@@ -27,9 +28,10 @@
 //     fail with ErrBadCheckpoint instead of generating wrong bytes.
 //
 // Payloads that never register are simply never checkpointed: capture
-// produces an empty list and every consumer falls back to the exact
-// skim path, so checkpointing is strictly an optimization — resumed
-// output is byte-identical to a skim from zero or it is an error.
+// produces an empty list and every shard generates from instruction
+// zero. A checkpoint that cannot resume (ErrBadCheckpoint) sends its
+// shard down that same path, so checkpointing is strictly an
+// optimization: resumed output is byte-identical to a skim from zero.
 package program
 
 import (
@@ -42,7 +44,8 @@ import (
 // resume the generation it claims to belong to: a zero-value or
 // corrupt snapshot, a capture position past the requested range, a
 // payload that rejects the saved state, or a payload that is not
-// checkpointable at all. Callers fall back to the skim path.
+// checkpointable at all. Record then generates that shard from
+// instruction zero; it is the only resume error that falls back.
 var ErrBadCheckpoint = errors.New("program: checkpoint cannot resume this generation")
 
 // Checkpoint is a resume point of one (seed, budget, payload)

@@ -1,11 +1,13 @@
 package program
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 
 	"branchlab/internal/engine"
+	"branchlab/internal/trace"
 	"branchlab/internal/xrand"
 )
 
@@ -38,6 +40,10 @@ func (c *ckptState) CheckpointRestore(st []uint64) bool {
 func ckptPayload(e *Emitter) {
 	st := &ckptState{x: 1}
 	e.Checkpointable(st)
+	ckptRounds(e, st)
+}
+
+func ckptRounds(e *Emitter, st *ckptState) {
 	for e.Running() {
 		e.Checkpoint()
 		st.x += uint64(e.Rand().Intn(3))
@@ -59,10 +65,11 @@ func ckptPayload(e *Emitter) {
 // capture point — the refill contract.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	const budget = 50_000
-	want := Record(42, budget, ckptPayload)
+	want := record(t, 42, budget, ckptPayload)
 	for _, every := range []uint64{1000, 7777, 20_000} {
-		arrs, cks := RecordSlices(42, budget, ckptPayload, 5000, nil, 1, every)
-		assertSameBuffer(t, joinSlices(arrs), want, "ckptEvery="+itoa(int(every)))
+		rec := mustRecord(t, 42, budget, ckptPayload, Request{SliceLen: 5000, CkptEvery: every})
+		assertSameBuffer(t, rec.Buffer(), want, "ckptEvery="+itoa(int(every)))
+		cks := rec.Ckpts
 		if len(cks) == 0 {
 			t.Fatalf("every=%d: no checkpoints captured", every)
 		}
@@ -72,33 +79,21 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 			}
 			for _, span := range []uint64{1, 512, 9999} {
 				lo := ck.At
-				hi := lo + span
-				if hi > budget {
-					hi = budget
+				hi := min(lo+span, budget)
+				got := mustRecord(t, 42, budget, ckptPayload, Request{Lo: lo, Hi: hi, From: cks[i : i+1]})
+				if !got.Resumed {
+					t.Fatalf("every=%d ck@%d span=%d: did not resume", every, ck.At, span)
 				}
-				got, err := RecordRangeFrom(42, budget, ckptPayload, &cks[i], lo, hi)
-				if err != nil {
-					t.Fatalf("every=%d ck@%d span=%d: %v", every, ck.At, span, err)
-				}
-				for j, inst := range got {
-					if inst != want.At(int(lo)+j) {
-						t.Fatalf("every=%d ck@%d: resumed inst %d differs", every, ck.At, j)
-					}
-				}
+				assertSameBuffer(t, got.Buffer(), want.Slice(int(lo), int(hi)), "resumed window")
 			}
 		}
 		// Resume to a window well past the checkpoint (generation crosses
 		// other checkpoints' positions on the way).
-		ck := cks[0]
-		got, err := RecordRangeFrom(42, budget, ckptPayload, &ck, budget-500, budget)
-		if err != nil {
-			t.Fatal(err)
+		got := mustRecord(t, 42, budget, ckptPayload, Request{Lo: budget - 500, From: cks[:1]})
+		if !got.Resumed {
+			t.Fatal("long resume did not resume")
 		}
-		for j, inst := range got {
-			if inst != want.At(int(budget-500)+j) {
-				t.Fatalf("long resume: inst %d differs", j)
-			}
-		}
+		assertSameBuffer(t, got.Buffer(), want.Slice(budget-500, budget), "long resume")
 	}
 }
 
@@ -106,13 +101,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 // checkpoint list must be identical at any shard count.
 func TestCheckpointCaptureShardInvariant(t *testing.T) {
 	const budget = 40_000
-	_, want := RecordSlices(7, budget, ckptPayload, 4000, nil, 1, 3000)
+	want := mustRecord(t, 7, budget, ckptPayload, Request{SliceLen: 4000, CkptEvery: 3000}).Ckpts
 	if len(want) == 0 {
 		t.Fatal("sequential capture produced no checkpoints")
 	}
 	pool := engine.New(4)
 	for _, shards := range []int{2, 3, 7} {
-		_, got := RecordSlices(7, budget, ckptPayload, 4000, pool, shards, 3000)
+		got := mustRecord(t, 7, budget, ckptPayload, Request{SliceLen: 4000, Shards: shards, Pool: pool, CkptEvery: 3000}).Ckpts
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("shards=%d: checkpoint list differs from sequential (%d vs %d checkpoints)",
 				shards, len(got), len(want))
@@ -120,61 +115,82 @@ func TestCheckpointCaptureShardInvariant(t *testing.T) {
 	}
 }
 
-// RecordShardedFrom with checkpoints must assemble the identical
+// Sharded recording from checkpoints must assemble the identical
 // buffer; workers resume instead of skimming.
 func TestRecordShardedFromByteIdentical(t *testing.T) {
 	const budget = 50_000
-	want := Record(11, budget, ckptPayload)
-	_, cks := RecordSlices(11, budget, ckptPayload, 5000, nil, 1, 5000)
+	want := record(t, 11, budget, ckptPayload)
+	cks := mustRecord(t, 11, budget, ckptPayload, Request{SliceLen: 5000, CkptEvery: 5000}).Ckpts
 	if len(cks) == 0 {
 		t.Fatal("no checkpoints captured")
 	}
 	pool := engine.New(4)
 	for _, shards := range []int{2, 3, 8} {
-		got := RecordShardedFrom(11, budget, ckptPayload, pool, shards, cks)
-		assertSameBuffer(t, got, want, "from-ckpt/shards="+itoa(shards))
+		got := mustRecord(t, 11, budget, ckptPayload, Request{Shards: shards, Pool: pool, From: cks})
+		if !got.Resumed {
+			t.Fatalf("shards=%d: no worker resumed", shards)
+		}
+		assertSameBuffer(t, got.Buffer(), want, "from-ckpt/shards="+itoa(shards))
 	}
-	// An empty list degrades to the skim path, still byte-identical.
-	assertSameBuffer(t, RecordShardedFrom(11, budget, ckptPayload, pool, 3, nil), want, "from-nil")
+	// An empty list generates every shard from instruction zero, still
+	// byte-identical.
+	got := mustRecord(t, 11, budget, ckptPayload, Request{Shards: 3, Pool: pool})
+	assertSameBuffer(t, got.Buffer(), want, "from-nil")
 }
 
 // Payloads that never register are never captured: the fallback
 // consumers see an empty list and skim.
 func TestNonCheckpointablePayloadCapturesNothing(t *testing.T) {
-	arrs, cks := RecordSlices(5, 20_000, countingPayload, 2000, nil, 1, 1000)
-	if len(cks) != 0 {
-		t.Fatalf("non-checkpointable payload captured %d checkpoints", len(cks))
+	rec := mustRecord(t, 5, 20_000, countingPayload, Request{SliceLen: 2000, CkptEvery: 1000})
+	if len(rec.Ckpts) != 0 {
+		t.Fatalf("non-checkpointable payload captured %d checkpoints", len(rec.Ckpts))
 	}
-	assertSameBuffer(t, joinSlices(arrs), Record(5, 20_000, countingPayload), "fallback")
+	assertSameBuffer(t, rec.Buffer(), record(t, 5, 20_000, countingPayload), "fallback")
 }
 
-// Bad checkpoints must fail with typed errors — never panic a replay
-// worker, never return wrong bytes.
+// Bad checkpoints must fail the resume with typed errors — never panic
+// a replay worker, never return wrong bytes — and Record must answer
+// each of them by generating from instruction zero.
 func TestResumeRejectsBadCheckpoints(t *testing.T) {
 	const budget = 20_000
-	_, cks := RecordSlices(3, budget, ckptPayload, 2000, nil, 1, 2000)
+	cks := mustRecord(t, 3, budget, ckptPayload, Request{SliceLen: 2000, CkptEvery: 2000}).Ckpts
 	if len(cks) == 0 {
 		t.Fatal("no checkpoints captured")
 	}
 	good := cks[0]
+	resume := func(payload Payload, ck Checkpoint, lo, hi uint64) error {
+		_, _, err := recordSegments(context.Background(), 3, budget, payload, lo, hi,
+			[][]trace.Inst{make([]trace.Inst, 0, hi-lo)}, 0, &ck)
+		if err == nil {
+			return nil
+		}
+		// Record must fall back to the exact skim path for it.
+		rec := mustRecord(t, 3, budget, payload, Request{Lo: lo, Hi: hi, From: []Checkpoint{ck}})
+		if rec.Resumed {
+			t.Fatalf("Record reported a resume from a checkpoint that failed with %v", err)
+		}
+		ref := record(t, 3, budget, payload).Slice(int(lo), int(hi))
+		assertSameBuffer(t, rec.Buffer(), ref, "fallback")
+		return err
+	}
 
 	// Zero-value checkpoint: rejected via the RNG's zero-state check.
-	if _, err := RecordRangeFrom(3, budget, ckptPayload, &Checkpoint{}, 100, 200); !errors.Is(err, xrand.ErrZeroState) || !errors.Is(err, ErrBadCheckpoint) {
+	if err := resume(ckptPayload, Checkpoint{}, 100, 200); !errors.Is(err, xrand.ErrZeroState) || !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("zero checkpoint: err = %v, want ErrBadCheckpoint wrapping ErrZeroState", err)
 	}
 	// Capture point past the requested range.
-	if _, err := RecordRangeFrom(3, budget, ckptPayload, &good, good.At-1, good.At+100); !errors.Is(err, ErrBadCheckpoint) {
+	if err := resume(ckptPayload, good, good.At-1, good.At+100); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("ck.At > lo: err = %v, want ErrBadCheckpoint", err)
 	}
 	// Payload state the payload cannot accept.
 	bad := good
 	bad.Payload = []uint64{1, 2}
-	if _, err := RecordRangeFrom(3, budget, ckptPayload, &bad, bad.At, bad.At+100); !errors.Is(err, ErrBadCheckpoint) {
+	if err := resume(ckptPayload, bad, bad.At, bad.At+100); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("short state: err = %v, want ErrBadCheckpoint", err)
 	}
 	// A non-checkpointable payload handed a checkpoint must error, not
 	// silently emit from mismatched state.
-	if _, err := RecordRangeFrom(3, budget, countingPayload, &good, good.At, good.At+100); !errors.Is(err, ErrBadCheckpoint) {
+	if err := resume(countingPayload, good, good.At, good.At+100); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("non-checkpointable resume: err = %v, want ErrBadCheckpoint", err)
 	}
 }

@@ -62,20 +62,22 @@ type Emitter struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// Sharded-recording mode (see RecordSharded): instructions with
-	// index < skip are generated but not materialized, instructions in
-	// [skip, stopAt) append to direct, and reaching stopAt unwinds the
-	// payload. stopAt == 0 disables early stop; direct == nil selects
-	// the batching channel path. segs holds further pre-allocated
-	// capacity-capped windows (slice-granular recording): when direct
-	// fills to capacity it is retired to filled and the next window
-	// takes over, so one prefix replay materializes many independently
-	// owned slice arrays.
-	skip   uint64
-	stopAt uint64
-	direct []trace.Inst
-	segs   [][]trace.Inst
-	filled [][]trace.Inst
+	// Direct mode (see Record): instructions with index < skip are
+	// generated but not materialized, instructions in [skip, stopAt)
+	// append to direct, and reaching stopAt unwinds the payload.
+	// stopAt == 0 disables early stop; direct == nil selects the
+	// batching channel path of Run. segs holds further pre-allocated
+	// capacity-capped windows: when direct fills to capacity it is
+	// retired to filled and the next window takes over, so one replay
+	// materializes many independently owned slice arrays. nextStop is
+	// the next instruction count at which emit leaves its fast path:
+	// stopAt, or the next cancellation poll (see armStop).
+	skip     uint64
+	stopAt   uint64
+	nextStop uint64
+	direct   []trace.Inst
+	segs     [][]trace.Inst
+	filled   [][]trace.Inst
 
 	// Checkpointing (see checkpoint.go): with ckptEvery > 0 the emitter
 	// captures a Checkpoint at the first payload safe point at or after
@@ -108,10 +110,9 @@ func (e *Emitter) Rand() *xrand.Rand { return e.rng }
 // overshoot by a fraction of a batch, which the stream truncates.
 func (e *Emitter) Running() bool { return e.emitted < e.budget }
 
-// Abort unwinds the payload with a typed error instead of a panic. The
-// recording entry point converts it into its error return (or, on the
-// legacy no-error surfaces, re-escalates it to the run boundary); the
-// partially generated bytes are discarded, never returned. Payloads
+// Abort unwinds the payload with a typed error instead of a panic.
+// Record returns it as its error and Run's stream reports it from Err;
+// the partially generated bytes are discarded, never returned. Payloads
 // use it for unreachable-configuration guards that should fail the run
 // loudly without killing the process.
 func (e *Emitter) Abort(err error) { engine.Abort(err) }
@@ -155,10 +156,37 @@ func (e *Emitter) emit(inst trace.Inst) {
 		}
 	}
 	e.emitted++
+	if e.emitted >= e.nextStop {
+		e.stopOrPoll()
+	}
+}
+
+// armStop sets nextStop: the range end of a direct recording, or the
+// next multiple of batchSize when a context can cancel. Polling every
+// batchSize instructions bounds the latency of a cancellation for
+// payloads that declare no safe points, in the skimmed prefix as well
+// as the materialized range.
+func (e *Emitter) armStop() {
+	e.nextStop = ^uint64(0)
+	if e.done != nil {
+		e.nextStop = (e.emitted/batchSize + 1) * batchSize
+	}
+	if e.stopAt != 0 && e.stopAt < e.nextStop {
+		e.nextStop = e.stopAt
+	}
+}
+
+// stopOrPoll is emit's slow path: it unwinds the payload once the range
+// is complete and otherwise polls for cancellation. Every instruction is
+// a byte-safe point here because a cancelled recording discards all of
+// its windows.
+func (e *Emitter) stopOrPoll() {
 	if e.stopAt != 0 && e.emitted >= e.stopAt {
 		//lint:ignore errcontract stopSignal is a typed unwind for a clean early stop, recovered at the Record* run boundary; it never escapes to callers
 		panic(stopSignal{})
 	}
+	e.checkCanceled()
+	e.armStop()
 }
 
 func (e *Emitter) flush() {
@@ -362,16 +390,11 @@ func (s *Stream) Err() error { return s.err }
 // Run starts payload in a producer goroutine and returns the consuming
 // stream. The stream yields at most budget instructions. Callers should
 // Close the stream if they stop early; draining it fully also releases
-// the producer.
-func Run(seed, budget uint64, payload Payload) *Stream {
-	return RunCtx(context.Background(), seed, budget, payload)
-}
-
-// RunCtx is Run bounded by ctx: when ctx is done the producer unwinds
-// at its next byte-safe point, the stream ends, and Err reports a
-// typed cancellation. A panicking payload likewise ends the stream
-// with Err set instead of crashing the process.
-func RunCtx(ctx context.Context, seed, budget uint64, payload Payload) *Stream {
+// the producer. When ctx is done the producer unwinds at its next
+// byte-safe point, the stream ends, and Err reports a typed
+// cancellation. A panicking payload likewise ends the stream with Err
+// set instead of crashing the process.
+func Run(ctx context.Context, seed, budget uint64, payload Payload) *Stream {
 	s := &Stream{
 		out:    make(chan []trace.Inst, 2),
 		cancel: make(chan struct{}),
@@ -386,29 +409,43 @@ func RunCtx(ctx context.Context, seed, budget uint64, payload Payload) *Stream {
 		cancel: s.cancel,
 	}
 	e.bindContext(ctx)
+	e.armStop()
 	go func() {
-		// LIFO order: the recover below runs first and records s.err,
-		// then the close publishes it to the consumer (channel close is
-		// the happens-before edge Err relies on).
+		// The close publishes s.err to the consumer: channel close is the
+		// happens-before edge Err relies on.
 		defer close(s.out)
-		defer func() {
-			r := recover()
-			if r == nil {
-				return
-			}
-			if _, ok := r.(stopSignal); ok {
-				return // consumer closed the stream; clean early stop
-			}
-			if err := engine.Recovered(r); err != nil {
-				s.err = err // cancellation or payload Abort
-				return
-			}
-			s.err = fmt.Errorf("program: payload panicked: %v\n%s", r, debug.Stack())
-		}()
-		payload(e)
-		e.flush()
+		s.err = runPayload(e, func(e *Emitter) {
+			payload(e)
+			e.flush()
+		})
 	}()
 	return s
+}
+
+// runPayload runs payload on e and returns the error its unwind
+// carries (see unwindErr).
+func runPayload(e *Emitter, payload Payload) (err error) {
+	defer func() { err = unwindErr(recover()) }()
+	payload(e)
+	return nil
+}
+
+// unwindErr converts what a recording boundary recovered into the
+// recording's error: nil for a normal return or a clean early stop
+// (range complete, consumer Close), the typed error of a failed resume,
+// a cancellation or a payload Abort, and a wrapped panic value for
+// anything else — a payload bug fails the recording, never the process.
+func unwindErr(r any) error {
+	switch r := r.(type) {
+	case nil, stopSignal:
+		return nil
+	case resumeAbort:
+		return r.err
+	}
+	if err := engine.Recovered(r); err != nil {
+		return err
+	}
+	return fmt.Errorf("program: payload panicked: %v\n%s", r, debug.Stack())
 }
 
 // Next implements trace.Stream.
@@ -455,49 +492,231 @@ func (s *Stream) Close() error {
 	return nil
 }
 
-// Record runs payload to completion and materializes the trace. The
-// buffer is pre-sized from the budget: payloads run until the budget is
-// exhausted, so the recording's final length is the budget except for
-// payloads that return early. A payload Abort escalates to the run
-// boundary via engine.Abort — the legacy surface never silently
-// truncates (see RecordCtx for the error-returning form).
-func Record(seed, budget uint64, payload Payload) *trace.Buffer {
-	buf, err := RecordCtx(context.Background(), seed, budget, payload)
-	if err != nil {
-		engine.Abort(err)
-	}
-	return buf
+// Request selects what Record materializes from one (seed, budget,
+// payload) trace. The zero value records the whole trace into one
+// array, sequentially, capturing no checkpoints.
+type Request struct {
+	// Lo and Hi bound the materialized range [Lo, Hi); Hi == 0 or past
+	// the budget selects the end of the trace.
+	Lo, Hi uint64
+
+	// SliceLen > 0 materializes the range as consecutive, independently
+	// owned arrays of SliceLen instructions starting at Lo (the last may
+	// be shorter): the trace cache's slices, each evictable on its own.
+	// SliceLen == 0 materializes one array.
+	SliceLen uint64
+
+	// Shards > 1 splits the generation across Pool workers (nil selects
+	// a default pool): slice-aligned groups of slices with SliceLen > 0,
+	// disjoint windows of the one shared array otherwise. Each shard
+	// replays the payload from the trace seed, skims (or resumes past)
+	// the instructions before its range, and stops at its end.
+	Shards int
+	Pool   *engine.Pool
+
+	// CkptEvery > 0 captures payload checkpoints within the range at
+	// that spacing: at the first safe point at or after each multiple
+	// (see checkpoint.go).
+	CkptEvery uint64
+
+	// From holds checkpoints of an earlier recording of the same
+	// triple, sorted by At. Each shard resumes from the nearest one at
+	// or below its range start (strictly below when capturing, so the
+	// resume point's own capture lies outside the range) instead of
+	// generating from instruction zero.
+	From []Checkpoint
 }
 
-// RecordCtx is Record bounded by ctx. On cancellation or payload
-// failure it returns (nil, err) with a typed error — never a
-// truncated buffer.
-func RecordCtx(ctx context.Context, seed, budget uint64, payload Payload) (*trace.Buffer, error) {
-	s := RunCtx(ctx, seed, budget, payload)
-	defer s.Close()
-	buf := trace.RecordSized(s, budget)
-	if err := s.Err(); err != nil {
-		return nil, err
+// Recording is what Record materialized.
+type Recording struct {
+	// Slices are the consecutive arrays of the range: one array with
+	// SliceLen == 0, SliceLen-long arrays otherwise. A payload that
+	// returns before its budget ends the recording early, so the last
+	// array may be short and trailing arrays absent.
+	Slices [][]trace.Inst
+	// Ckpts are the checkpoints captured within the range, sorted by
+	// At; empty unless CkptEvery > 0 and the payload is checkpointable.
+	Ckpts []Checkpoint
+	// Resumed reports that a shard started from a checkpoint in From
+	// rather than from instruction zero.
+	Resumed bool
+}
+
+// Buffer returns the recording as one buffer: zero-copy for a single
+// array.
+func (r Recording) Buffer() *trace.Buffer {
+	if len(r.Slices) == 1 {
+		return trace.FromSlice(r.Slices[0])
 	}
-	return buf, nil
+	var n int
+	for _, s := range r.Slices {
+		n += len(s)
+	}
+	all := make([]trace.Inst, 0, n)
+	for _, s := range r.Slices {
+		all = append(all, s...)
+	}
+	return trace.FromSlice(all)
+}
+
+// Record materializes instructions [req.Lo, req.Hi) of the (seed,
+// budget, payload) trace, byte-identical to the same range of a
+// sequential whole recording for every Request: payloads are pure
+// functions of the seed, so every replay of the trace, whether it is
+// sharded, sliced, skimmed or resumed, emits the identical instruction
+// sequence. See DESIGN.md §6 for why prefix replay rather than
+// per-slice reseeding is what keeps arbitrary payloads exact.
+//
+// Every mode is one algorithm: the range is cut into pre-allocated,
+// capacity-capped windows, and each shard generates its contiguous
+// group of windows synchronously, with no producer goroutine and no
+// channel. A shard resumes from the nearest usable checkpoint in
+// req.From and falls back to generating from instruction zero only when
+// that checkpoint cannot resume the generation (ErrBadCheckpoint).
+// Every other failure is the recording's: cancellation of ctx (polled
+// at payload safe points and every batchSize instructions), a payload
+// Abort, or a payload panic returns a typed error and no arrays.
+func Record(ctx context.Context, seed, budget uint64, payload Payload, req Request) (Recording, error) {
+	lo, hi := req.Lo, req.Hi
+	if hi == 0 || hi > budget {
+		hi = budget
+	}
+	if lo >= hi {
+		return Recording{}, nil
+	}
+	n := hi - lo
+	unit := req.SliceLen
+	var backing []trace.Inst
+	if unit == 0 {
+		// One array: shards write disjoint windows of it in place.
+		unit = n
+		if s := uint64(req.Shards); s > 1 {
+			unit = (n + s - 1) / s
+		}
+		backing = make([]trace.Inst, n)
+	}
+	if unit > n {
+		unit = n
+	}
+	nWin := int((n + unit - 1) / unit)
+	capOf := func(i int) uint64 { return min(unit, n-uint64(i)*unit) }
+	wins := make([][]trace.Inst, nWin)
+	for i := range wins {
+		if backing != nil {
+			a := uint64(i) * unit
+			wins[i] = backing[a : a : a+capOf(i)]
+		} else {
+			wins[i] = make([]trace.Inst, 0, capOf(i))
+		}
+	}
+
+	shards := max(1, min(req.Shards, nWin))
+	per := (nWin + shards - 1) / shards
+	shards = (nWin + per - 1) / per
+	type part struct {
+		filled  [][]trace.Inst
+		ckpts   []Checkpoint
+		resumed bool
+	}
+	shard := func(ctx context.Context, w int) (part, error) {
+		w0 := w * per
+		w1 := min(w0+per, nWin)
+		slo := lo + uint64(w0)*unit
+		shi := min(lo+uint64(w1)*unit, hi)
+		var p part
+		var err error
+		p.filled, p.ckpts, p.resumed, err = recordShard(ctx, seed, budget, payload, slo, shi, wins[w0:w1], req)
+		return p, err
+	}
+	var parts []part
+	if shards == 1 {
+		p, err := shard(ctx, 0)
+		if err != nil {
+			return Recording{}, err
+		}
+		parts = []part{p}
+	} else {
+		pool := req.Pool
+		if pool == nil {
+			pool = engine.New(0)
+		}
+		var err error
+		if parts, err = engine.MapErr(ctx, pool, shards, shard); err != nil {
+			if engine.IsCancel(err) && !errors.Is(err, ErrCanceled) {
+				// The pool reports the caller's cause; keep the sentinel
+				// every cancelled recording matches.
+				err = &canceledError{cause: err}
+			}
+			return Recording{}, err
+		}
+	}
+
+	// Workers capture within disjoint ascending ranges under the same
+	// index-driven rule, so concatenation in worker order is the
+	// sequential capture list.
+	var rec Recording
+	for w, p := range parts {
+		copy(wins[w*per:], p.filled)
+		rec.Ckpts = append(rec.Ckpts, p.ckpts...)
+		rec.Resumed = rec.Resumed || p.resumed
+	}
+	// A payload that returns before exhausting the budget ends every
+	// replica at the same deterministic point: the first short window is
+	// the end of the trace, and every window after it is empty.
+	total := uint64(0)
+	for i, win := range wins {
+		total += uint64(len(win))
+		if uint64(len(win)) < capOf(i) {
+			end := i
+			if len(win) > 0 {
+				end++
+			}
+			wins = wins[:end]
+			break
+		}
+	}
+	switch {
+	case backing == nil:
+		rec.Slices = wins
+	case total > 0:
+		rec.Slices = [][]trace.Inst{backing[:total]}
+	}
+	return rec, nil
+}
+
+// recordShard fills one shard's windows with [lo, hi). It resumes from
+// the nearest checkpoint in req.From at or below lo — strictly below
+// when capturing, because a capture at the resume point itself depends
+// on where the preceding safe point fell — and regenerates from
+// instruction zero only if that checkpoint cannot resume
+// (ErrBadCheckpoint). Any other error fails the shard without a retry.
+func recordShard(ctx context.Context, seed, budget uint64, payload Payload, lo, hi uint64, wins [][]trace.Inst, req Request) ([][]trace.Inst, []Checkpoint, bool, error) {
+	at := lo
+	if req.CkptEvery > 0 && lo > 0 {
+		at = lo - 1
+	}
+	if ck := NearestCheckpoint(req.From, at); ck != nil {
+		filled, cks, err := recordSegments(ctx, seed, budget, payload, lo, hi, wins, req.CkptEvery, ck)
+		if !errors.Is(err, ErrBadCheckpoint) {
+			return filled, cks, err == nil, err
+		}
+	}
+	filled, cks, err := recordSegments(ctx, seed, budget, payload, lo, hi, wins, req.CkptEvery, nil)
+	return filled, cks, false, err
 }
 
 // recordSegments generates instructions [lo, hi) of the (seed, budget,
-// payload) trace synchronously — no producer goroutine, no channel —
-// filling the pre-allocated capacity-capped windows segs in order and
-// returning the windows that received instructions. The payload replays
-// from the start with a freshly reseeded RNG (every shard derives the
-// identical xrand stream from the trace seed), skims the prefix without
-// materializing it, and unwinds as soon as the range is full. The
-// window capacities must sum to at least hi-lo so no append ever
-// reallocates a window.
+// payload) trace synchronously, filling the pre-allocated
+// capacity-capped windows segs in order and returning the windows that
+// received instructions. The payload replays from the start with a
+// freshly seeded RNG, skims the prefix without materializing it, and
+// unwinds as soon as the range is full. The window capacities must sum
+// to at least hi-lo so no append ever reallocates a window.
 //
 // ckptEvery > 0 additionally captures payload checkpoints within
-// [lo, hi) at that spacing (see checkpoint.go); from != nil resumes
-// the replay at from.At instead of instruction zero — the O(window)
-// refill path — and fails with ErrBadCheckpoint (wrapped) when the
-// checkpoint cannot reproduce the generation, leaving the caller to
-// fall back to a skim from zero.
+// [lo, hi) at that spacing; from != nil resumes the replay at from.At
+// instead of instruction zero and fails with ErrBadCheckpoint (wrapped)
+// when the checkpoint cannot reproduce the generation.
 func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, lo, hi uint64, segs [][]trace.Inst, ckptEvery uint64, from *Checkpoint) ([][]trace.Inst, []Checkpoint, error) {
 	e := &Emitter{
 		rng:       xrand.New(seed),
@@ -520,318 +739,18 @@ func recordSegments(ctx context.Context, seed, budget uint64, payload Payload, l
 		if err := e.restore(from); err != nil {
 			return nil, nil, err
 		}
-	}
-	err := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(stopSignal); ok {
-					return
-				}
-				if ra, ok := r.(resumeAbort); ok {
-					err = ra.err
-					return
-				}
-				if aerr := engine.Recovered(r); aerr != nil {
-					err = aerr // cancellation or payload Abort
-					return
-				}
-				panic(r)
-			}
-		}()
-		payload(e)
-		if e.resuming {
-			err = fmt.Errorf("%w: payload never registered via Checkpointable", ErrBadCheckpoint)
+		if ckptEvery > 0 {
+			// The state after the safe point at from.At, as a sequential
+			// recording at this spacing leaves it.
+			e.nextCkpt = (from.At/ckptEvery + 1) * ckptEvery
 		}
-		return
-	}()
-	if err != nil {
+	}
+	e.armStop()
+	if err := runPayload(e, payload); err != nil {
 		return nil, nil, err
 	}
+	if e.resuming {
+		return nil, nil, fmt.Errorf("%w: payload never registered via Checkpointable", ErrBadCheckpoint)
+	}
 	return append(e.filled, e.direct), e.ckpts, nil
-}
-
-// recordRange is recordSegments with a single destination window and a
-// skim from zero: no checkpoints involved, so it can only fail on
-// cancellation or payload abort.
-func recordRange(ctx context.Context, seed, budget uint64, payload Payload, lo, hi uint64, dst []trace.Inst) ([]trace.Inst, error) {
-	out, _, err := recordSegments(ctx, seed, budget, payload, lo, hi, [][]trace.Inst{dst}, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[len(out)-1], nil
-}
-
-// RecordRange materializes instructions [lo, hi) of the (seed, budget,
-// payload) trace into a freshly allocated array: the slice-granular
-// trace cache's re-materialization path. The replay reseeds from the
-// trace seed and skims the prefix without materializing it, so the
-// returned range is byte-identical to the same range of a full
-// recording — at the cost of regenerating (not storing) the lo
-// instructions before the range.
-func RecordRange(seed, budget uint64, payload Payload, lo, hi uint64) []trace.Inst {
-	if hi > budget {
-		hi = budget
-	}
-	if lo >= hi {
-		return nil
-	}
-	//lint:ignore ctxflow range refills are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone (see tracecache refill contract)
-	out, err := recordRange(context.Background(), seed, budget, payload, lo, hi, make([]trace.Inst, 0, hi-lo))
-	if err != nil {
-		engine.Abort(err) // background ctx: only a payload abort lands here
-	}
-	return out
-}
-
-// RecordRangeFrom is RecordRange resuming from ck instead of skimming
-// the prefix: generation starts at ck.At, so the refill costs
-// O(lo-ck.At + window) regardless of lo — O(window) when checkpoints
-// were captured at slice spacing. ck must come from a checkpointed
-// recording of the identical (seed, budget, payload) triple with
-// ck.At <= lo; a nil ck degrades to the skim path. The resumed bytes
-// are byte-identical to the same range of a full recording, or the
-// call fails (wrapping ErrBadCheckpoint, or xrand.ErrZeroState for a
-// zero-value checkpoint) and the caller falls back to RecordRange —
-// wrong bytes are never returned.
-func RecordRangeFrom(seed, budget uint64, payload Payload, ck *Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-	if hi > budget {
-		hi = budget
-	}
-	if lo >= hi {
-		return nil, nil
-	}
-	if ck == nil {
-		//lint:ignore ctxflow range refills are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
-		return recordRange(context.Background(), seed, budget, payload, lo, hi, make([]trace.Inst, 0, hi-lo))
-	}
-	//lint:ignore ctxflow range refills are deliberately context-free: a replay must be able to regenerate bytes after the recording context is gone
-	segs, _, err := recordSegments(context.Background(), seed, budget, payload, lo, hi,
-		[][]trace.Inst{make([]trace.Inst, 0, hi-lo)}, 0, ck)
-	if err != nil {
-		return nil, err
-	}
-	return segs[len(segs)-1], nil
-}
-
-// RecordSharded materializes the same trace Record produces by
-// generating disjoint instruction ranges on pool workers. Worker w
-// replays the payload deterministically from the trace seed, skims
-// instructions before its range (generated, counted, not stored),
-// writes its range directly into the shared backing array, and stops.
-// The assembled buffer is byte-identical to sequential recording at any
-// shard count: payloads are pure functions of the seed, so every
-// replica emits the identical instruction sequence.
-//
-// Sharding trades total generation work for wall-clock and allocation
-// traffic: shard w regenerates the w/shards prefix it discards, but the
-// materialization path (batch copies, channel handoff, buffer growth)
-// runs once per instruction across all workers and the shards record
-// concurrently. See DESIGN.md §6 for why prefix replay — rather than
-// per-slice generator reseeding — is what keeps the recording
-// byte-identical for arbitrary payloads.
-func RecordSharded(seed, budget uint64, payload Payload, pool *engine.Pool, shards int) *trace.Buffer {
-	return RecordShardedFrom(seed, budget, payload, pool, shards, nil)
-}
-
-// RecordShardedFrom is RecordSharded with a checkpoint list from a
-// prior checkpointed recording of the same (seed, budget, payload)
-// triple: worker w resumes from the nearest checkpoint at or below its
-// range start instead of skimming the prefix, so the shards' work no
-// longer overlaps — re-recording is embarrassingly parallel, each
-// worker generating O(budget/shards) instructions. A worker whose
-// checkpoint cannot resume (or that has none at or below its range)
-// falls back to the skim path, so the assembled buffer is
-// byte-identical to sequential recording for any ckpts, including nil
-// (which is exactly RecordSharded).
-func RecordShardedFrom(seed, budget uint64, payload Payload, pool *engine.Pool, shards int, ckpts []Checkpoint) *trace.Buffer {
-	buf, err := RecordShardedFromCtx(context.Background(), seed, budget, payload, pool, shards, ckpts)
-	if err != nil {
-		engine.Abort(err)
-	}
-	return buf
-}
-
-// RecordShardedFromCtx is RecordShardedFrom bounded by ctx: shard
-// workers check cancellation at byte-safe points, and a cancelled or
-// failed recording returns (nil, err) — the partially filled backing
-// array is never assembled into a buffer.
-func RecordShardedFromCtx(ctx context.Context, seed, budget uint64, payload Payload, pool *engine.Pool, shards int, ckpts []Checkpoint) (*trace.Buffer, error) {
-	if pool == nil {
-		pool = engine.New(0)
-	}
-	if uint64(shards) > budget {
-		shards = int(budget)
-	}
-	if shards <= 1 {
-		return RecordCtx(ctx, seed, budget, payload)
-	}
-	chunk := (budget + uint64(shards) - 1) / uint64(shards)
-	insts := make([]trace.Inst, budget)
-	counts, mapErr := engine.MapErr(ctx, pool, shards, func(ctx context.Context, w int) (int, error) {
-		lo := uint64(w) * chunk
-		hi := lo + chunk
-		if hi > budget {
-			hi = budget
-		}
-		if lo >= hi {
-			return 0, nil
-		}
-		// Each worker appends into its own zero-length, capacity-capped
-		// window of the shared array, so writes stay disjoint.
-		if ck := NearestCheckpoint(ckpts, lo); ck != nil {
-			segs, _, err := recordSegments(ctx, seed, budget, payload, lo, hi,
-				[][]trace.Inst{insts[lo:lo:hi]}, 0, ck)
-			if err == nil {
-				return len(segs[len(segs)-1]), nil
-			}
-			if !errors.Is(err, ErrBadCheckpoint) {
-				return 0, err // cancellation / payload abort: no fallback
-			}
-			// Unusable checkpoint: regenerate the window's prefix below.
-		}
-		out, err := recordRange(ctx, seed, budget, payload, lo, hi, insts[lo:lo:hi])
-		if err != nil {
-			return 0, err
-		}
-		return len(out), nil
-	})
-	if mapErr != nil {
-		return nil, mapErr
-	}
-	// A payload that returns before exhausting the budget ends every
-	// shard at the same deterministic point; the first short shard is
-	// the end of the trace.
-	total := uint64(0)
-	for w, n := range counts {
-		total += uint64(n)
-		lo := uint64(w) * chunk
-		hi := lo + chunk
-		if hi > budget {
-			hi = budget
-		}
-		if uint64(n) < hi-lo {
-			break
-		}
-	}
-	return trace.FromSlice(insts[:total]), nil
-}
-
-// RecordSlices materializes the same trace Record produces as
-// consecutive, independently owned arrays of sliceLen instructions
-// each (the last may be shorter): the ingest path of the slice-granular
-// trace cache, which needs each slice to be individually evictable —
-// dropping one array frees its memory, which views of a shared backing
-// array (Buffer.Slice) cannot do. sliceLen == 0 or >= budget yields a
-// single array. With shards > 1 the generation splits across pool
-// workers at slice-aligned boundaries, each worker skimming its prefix
-// and filling its own slice arrays (no copies, no channel handoff).
-// The concatenated arrays are byte-identical to Record at any
-// (sliceLen, shards) combination: payloads are pure functions of the
-// seed.
-//
-// ckptEvery > 0 additionally captures payload checkpoints at that
-// spacing (first safe point at or after each multiple; see
-// checkpoint.go), returned sorted by capture index. The capture rule
-// is a pure function of the instruction index, so the checkpoint list
-// is identical at any shard count; a payload that never registers via
-// Emitter.Checkpointable yields an empty list (the fallback consumers
-// detect). ckptEvery == 0 disables capture.
-func RecordSlices(seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []Checkpoint) {
-	out, cks, err := RecordSlicesCtx(context.Background(), seed, budget, payload, sliceLen, pool, shards, ckptEvery)
-	if err != nil {
-		engine.Abort(err)
-	}
-	return out, cks
-}
-
-// RecordSlicesCtx is RecordSlices bounded by ctx. Cancellation or a
-// payload failure returns (nil, nil, err) with a typed error; partial
-// slice arrays are never returned.
-func RecordSlicesCtx(ctx context.Context, seed, budget uint64, payload Payload, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []Checkpoint, error) {
-	if budget == 0 {
-		return nil, nil, nil
-	}
-	if sliceLen == 0 || sliceLen > budget {
-		sliceLen = budget
-	}
-	nSlices := int((budget + sliceLen - 1) / sliceLen)
-	// capOf is the exact capacity of slice si; windows never reallocate.
-	capOf := func(si int) uint64 {
-		lo := uint64(si) * sliceLen
-		hi := lo + sliceLen
-		if hi > budget {
-			hi = budget
-		}
-		return hi - lo
-	}
-	mkWindows := func(s0, s1 int) [][]trace.Inst {
-		ws := make([][]trace.Inst, 0, s1-s0)
-		for si := s0; si < s1; si++ {
-			ws = append(ws, make([]trace.Inst, 0, capOf(si)))
-		}
-		return ws
-	}
-
-	out := make([][]trace.Inst, nSlices)
-	var cks []Checkpoint
-	if pool == nil {
-		pool = engine.New(0)
-	}
-	if shards > nSlices {
-		shards = nSlices
-	}
-	if shards <= 1 {
-		filled, c, err := recordSegments(ctx, seed, budget, payload, 0, budget, mkWindows(0, nSlices), ckptEvery, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		copy(out, filled)
-		cks = c
-	} else {
-		// Shard boundaries align to slice boundaries so every window
-		// belongs to exactly one worker.
-		per := (nSlices + shards - 1) / shards
-		parts, err := engine.MapErr(ctx, pool, shards, func(ctx context.Context, w int) ([]Checkpoint, error) {
-			s0 := w * per
-			s1 := s0 + per
-			if s1 > nSlices {
-				s1 = nSlices
-			}
-			if s0 >= s1 {
-				return nil, nil
-			}
-			lo := uint64(s0) * sliceLen
-			hi := uint64(s1) * sliceLen
-			if hi > budget {
-				hi = budget
-			}
-			filled, c, err := recordSegments(ctx, seed, budget, payload, lo, hi, mkWindows(s0, s1), ckptEvery, nil)
-			if err != nil {
-				return nil, err
-			}
-			copy(out[s0:s1], filled)
-			return c, nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		// Workers capture within disjoint ascending ranges under the
-		// same index-driven rule, so concatenation in worker order is
-		// the sequential capture list.
-		for _, p := range parts {
-			cks = append(cks, p...)
-		}
-	}
-	// A payload that returns before exhausting the budget ends every
-	// replica at the same deterministic point: the first short slice is
-	// the end of the trace, and everything after it is empty.
-	for si, sl := range out {
-		if uint64(len(sl)) < capOf(si) {
-			if len(sl) == 0 {
-				return out[:si], cks, nil
-			}
-			return out[:si+1], cks, nil
-		}
-	}
-	return out, cks, nil
 }

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
@@ -30,40 +31,51 @@ func assertSameBuffer(t *testing.T, got, want *trace.Buffer, label string) {
 	}
 }
 
+// mustRecord is Record under the background context, failing the test
+// on error.
+func mustRecord(t testing.TB, seed, budget uint64, payload Payload, req Request) Recording {
+	t.Helper()
+	rec, err := Record(context.Background(), seed, budget, payload, req)
+	if err != nil {
+		t.Fatalf("Record(%+v): %v", req, err)
+	}
+	return rec
+}
+
 // Sharded recording's whole contract: byte-identical to sequential
 // recording at any shard count, including counts that do not divide the
 // budget and counts exceeding it.
 func TestRecordShardedByteIdentical(t *testing.T) {
 	const budget = 50_000
-	want := Record(42, budget, countingPayload)
+	want := record(t, 42, budget, countingPayload)
 	pool := engine.New(4)
 	for _, shards := range []int{1, 2, 3, 7, 16} {
-		got := RecordSharded(42, budget, countingPayload, pool, shards)
+		got := mustRecord(t, 42, budget, countingPayload, Request{Shards: shards, Pool: pool}).Buffer()
 		assertSameBuffer(t, got, want, "shards="+itoa(shards))
 	}
 	// nil pool selects a default pool.
-	assertSameBuffer(t, RecordSharded(42, budget, countingPayload, nil, 3), want, "nil pool")
+	assertSameBuffer(t, mustRecord(t, 42, budget, countingPayload, Request{Shards: 3}).Buffer(), want, "nil pool")
 	// More shards than instructions degrades to one instruction per
 	// shard (kept tiny: each shard replays its prefix).
-	tiny := Record(42, 100, countingPayload)
-	assertSameBuffer(t, RecordSharded(42, 100, countingPayload, pool, 137), tiny, "shards>budget")
+	tiny := record(t, 42, 100, countingPayload)
+	assertSameBuffer(t, mustRecord(t, 42, 100, countingPayload, Request{Shards: 137, Pool: pool}).Buffer(), tiny, "shards>budget")
 }
 
 func TestRecordShardedEarlyReturn(t *testing.T) {
 	const budget = 60_000
-	want := Record(9, budget, earlyPayload)
+	want := record(t, 9, budget, earlyPayload)
 	if uint64(want.Len()) >= budget {
 		t.Fatal("test payload should end before the budget")
 	}
 	pool := engine.New(3)
 	for _, shards := range []int{2, 4, 9} {
-		got := RecordSharded(9, budget, earlyPayload, pool, shards)
+		got := mustRecord(t, 9, budget, earlyPayload, Request{Shards: shards, Pool: pool}).Buffer()
 		assertSameBuffer(t, got, want, "early return")
 	}
 }
 
 func TestRecordShardedZeroBudget(t *testing.T) {
-	if got := RecordSharded(1, 0, countingPayload, engine.New(2), 4); got.Len() != 0 {
+	if got := mustRecord(t, 1, 0, countingPayload, Request{Shards: 4, Pool: engine.New(2)}).Buffer(); got.Len() != 0 {
 		t.Fatalf("zero budget recorded %d instructions", got.Len())
 	}
 }
@@ -74,7 +86,7 @@ func TestRecordShardedZeroBudget(t *testing.T) {
 func TestLimitedStreamCloseReleasesProducer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		s := Run(uint64(i), 1<<40, countingPayload)
+		s := Run(context.Background(), uint64(i), 1<<40, countingPayload)
 		limited := trace.Limit(s, 10)
 		var inst trace.Inst
 		for limited.Next(&inst) {

@@ -1,9 +1,11 @@
 package tage_test
 
 import (
+	"context"
 	"testing"
 
 	"branchlab/internal/core"
+	"branchlab/internal/program"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/workload"
@@ -65,7 +67,7 @@ func TestPackedMatchesReferenceAllWorkloads(t *testing.T) {
 	// trace-visible signature in the suite.
 	const budget = 150_000
 	for _, spec := range allSpecs() {
-		buf := spec.Record(0, budget)
+		buf := recordWorkload(t, spec, budget)
 		packed := tage.New(tage.Config8KB())
 		ref := tage.NewReference(tage.Config8KB())
 		miss := lockstep(t, spec.Name, buf, packed, ref)
@@ -81,7 +83,7 @@ func TestPackedMatchesReferenceTelemetry(t *testing.T) {
 	// a real trace: same event totals, same per-IP counts, same victim
 	// attributions.
 	spec := allSpecs()[0]
-	buf := spec.Record(0, 150_000)
+	buf := recordWorkload(t, spec, 150_000)
 	packed := tage.New(tage.Config8KB())
 	ref := tage.NewReference(tage.Config8KB())
 	sa, sb := packed.EnableAllocTracking(), ref.EnableAllocTracking()
@@ -171,7 +173,7 @@ func TestBatchPathMatchesScalarPath(t *testing.T) {
 	// depends on where block boundaries fall.
 	const budget = 150_000
 	for _, spec := range allSpecs()[:3] {
-		buf := spec.Record(0, budget)
+		buf := recordWorkload(t, spec, budget)
 		for _, blockLen := range []int{512, trace.DefaultBlockLen} {
 			batch := core.RunBlocks(buf.BlockStream(blockLen), tage.New(tage.Config8KB()))
 			scalar := core.RunBlocks(buf.BlockStream(blockLen), scalarOnly{tage.New(tage.Config8KB())})
@@ -184,4 +186,15 @@ func TestBatchPathMatchesScalarPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordWorkload records input 0 of s at budget, failing the test on
+// error.
+func recordWorkload(t testing.TB, s *workload.Spec, budget uint64) *trace.Buffer {
+	t.Helper()
+	rec, err := s.Record(context.Background(), 0, budget, program.Request{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec.Buffer()
 }

@@ -57,9 +57,7 @@ func newGateSource(n int, honorCtx bool) *gateSource {
 }
 
 func (s *gateSource) Source() Source {
-	src := s.source.Source()
-	inner := src.Record
-	src.Record = func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+	return Source{Record: func(ctx context.Context, req program.Request) (program.Recording, error) {
 		s.mu.Lock()
 		s.calls++
 		first := s.calls == 1
@@ -70,15 +68,14 @@ func (s *gateSource) Source() Source {
 				select {
 				case <-s.release:
 				case <-ctx.Done():
-					return nil, nil, ctx.Err()
+					return program.Recording{}, ctx.Err()
 				}
 			} else {
 				<-s.release
 			}
 		}
-		return inner(ctx, sliceLen)
-	}
-	return src
+		return s.source.record(ctx, req)
+	}}
 }
 
 // TestRecordCtxPreCanceled: an already-cancelled context fails typed
@@ -89,9 +86,9 @@ func TestRecordCtxPreCanceled(t *testing.T) {
 	src := &source{n: 10}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	v, err := c.RecordCtx(ctx, "w", 0, 10, src.Source())
+	v, err := c.Record(ctx, "w", 0, 10, src.Source())
 	if v != nil || !engine.IsCancel(err) {
-		t.Fatalf("RecordCtx(pre-cancelled) = %v, %v; want nil and a cancellation error", v, err)
+		t.Fatalf("Record(pre-cancelled) = %v, %v; want nil and a cancellation error", v, err)
 	}
 	if src.records.Load() != 0 {
 		t.Fatalf("pre-cancelled call still recorded %d times", src.records.Load())
@@ -111,7 +108,7 @@ func TestWaiterDetachOnCancel(t *testing.T) {
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		v, err := c.RecordCtx(context.Background(), "w", 0, 100, src.Source())
+		v, err := c.Record(context.Background(), "w", 0, 100, src.Source())
 		if err == nil {
 			checkIdentity(t, drain(t, v), 0)
 		}
@@ -122,7 +119,7 @@ func TestWaiterDetachOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiterDone := make(chan error, 1)
 	go func() {
-		_, err := c.RecordCtx(ctx, "w", 0, 100, src.Source())
+		_, err := c.Record(ctx, "w", 0, 100, src.Source())
 		waiterDone <- err
 	}()
 	// Wait until the waiter has coalesced on the in-flight leader.
@@ -148,7 +145,7 @@ func TestWaiterDetachOnCancel(t *testing.T) {
 		t.Fatalf("recorder ran %d times, want 1", src.records.Load())
 	}
 	// Later callers are served from the completed entry.
-	v, err := c.RecordCtx(context.Background(), "w", 0, 100, src.Source())
+	v, err := c.Record(context.Background(), "w", 0, 100, src.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +163,7 @@ func TestLeaderCancelHandsOff(t *testing.T) {
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.RecordCtx(leaderCtx, "w", 0, 100, src.Source())
+		_, err := c.Record(leaderCtx, "w", 0, 100, src.Source())
 		leaderDone <- err
 	}()
 	<-src.entered
@@ -174,7 +171,7 @@ func TestLeaderCancelHandsOff(t *testing.T) {
 	waiterDone := make(chan error, 1)
 	var waiterView trace.Replayable
 	go func() {
-		v, err := c.RecordCtx(context.Background(), "w", 0, 100, src.Source())
+		v, err := c.Record(context.Background(), "w", 0, 100, src.Source())
 		waiterView = v
 		waiterDone <- err
 	}()
@@ -217,7 +214,7 @@ func TestSourceFailurePropagatesToWaiters(t *testing.T) {
 	var calls int
 	var mu sync.Mutex
 	failing := Source{
-		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(context.Context, program.Request) (program.Recording, error) {
 			mu.Lock()
 			calls++
 			first := calls == 1
@@ -225,15 +222,15 @@ func TestSourceFailurePropagatesToWaiters(t *testing.T) {
 			if first {
 				close(entered)
 				<-release
-				return nil, nil, boom
+				return program.Recording{}, boom
 			}
-			return [][]trace.Inst{mkInsts(0, 10)}, nil, nil
+			return program.Recording{Slices: [][]trace.Inst{mkInsts(0, 10)}}, nil
 		},
 	}
 
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.RecordCtx(context.Background(), "w", 0, 10, failing)
+		_, err := c.Record(context.Background(), "w", 0, 10, failing)
 		leaderDone <- err
 	}()
 	<-entered
@@ -241,7 +238,7 @@ func TestSourceFailurePropagatesToWaiters(t *testing.T) {
 	waiterDone := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			_, err := c.RecordCtx(context.Background(), "w", 0, 10, failing)
+			_, err := c.Record(context.Background(), "w", 0, 10, failing)
 			waiterDone <- err
 		}()
 	}
@@ -266,7 +263,7 @@ func TestSourceFailurePropagatesToWaiters(t *testing.T) {
 		t.Fatalf("failed recording left %d entries resident", st.Entries)
 	}
 	// The failure was not cached: a fresh call records and succeeds.
-	v, err := c.RecordCtx(context.Background(), "w", 0, 10, failing)
+	v, err := c.Record(context.Background(), "w", 0, 10, failing)
 	if err != nil {
 		t.Fatalf("retry after withdrawn failure: %v", err)
 	}
@@ -280,50 +277,56 @@ func TestBadSourceTyped(t *testing.T) {
 	defer leakCheck(t)()
 	c := NewSliced(0, 10)
 	bad := Source{
-		Record: func(_ context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
+		Record: func(context.Context, program.Request) (program.Recording, error) {
 			// Three slices, middle one short: structurally malformed.
-			return [][]trace.Inst{mkInsts(0, 10), mkInsts(10, 15), mkInsts(20, 30)}, nil, nil
+			return program.Recording{Slices: [][]trace.Inst{mkInsts(0, 10), mkInsts(10, 15), mkInsts(20, 30)}}, nil
 		},
-		Range: func(lo, hi uint64) []trace.Inst { return mkInsts(int(lo), int(hi)) },
 	}
-	v, err := c.RecordCtx(context.Background(), "w", 0, 30, bad)
+	v, err := c.Record(context.Background(), "w", 0, 30, bad)
 	if v != nil || !errors.Is(err, ErrBadSource) {
-		t.Fatalf("RecordCtx(malformed) = %v, %v; want nil, ErrBadSource", v, err)
+		t.Fatalf("Record(malformed) = %v, %v; want nil, ErrBadSource", v, err)
 	}
 	if st := c.Stats(); st.Entries != 0 || st.Slices != 0 {
 		t.Fatalf("malformed recording left state resident: %+v", st)
 	}
 	// A well-formed source under the same key then records cleanly.
 	src := &source{n: 30}
-	good, err := c.RecordCtx(context.Background(), "w", 0, 30, src.Source())
+	good, err := c.Record(context.Background(), "w", 0, 30, src.Source())
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkIdentity(t, drain(t, good), 0)
 }
 
-// TestLegacyRecordAbortsOnBadSource: the no-error Record surface
-// escalates ErrBadSource via engine.Abort rather than panicking raw or
-// returning a malformed trace.
-func TestLegacyRecordAbortsOnBadSource(t *testing.T) {
-	c := NewSliced(0, 10)
-	bad := Source{
-		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-			return [][]trace.Inst{mkInsts(0, 3), mkInsts(10, 30)}, nil, nil
-		},
-		Range: func(lo, hi uint64) []trace.Inst { return mkInsts(int(lo), int(hi)) },
-	}
-	defer func() {
-		err := engine.Recovered(recover())
-		if err == nil {
-			t.Fatal("legacy Record on a malformed source did not abort")
+// TestRefillAbortsOnBadSource: a replay has no error return, so a
+// refill whose source fails or returns the wrong range escalates a
+// typed error via engine.Abort rather than serving wrong bytes or
+// panicking raw, and the in-flight slice is withdrawn so other readers
+// do not block on it.
+func TestRefillAbortsOnBadSource(t *testing.T) {
+	c := NewSliced(10*instBytes, 10) // one-slice cap: replays refill
+	src := &source{n: 30}
+	bad := Source{Record: func(ctx context.Context, req program.Request) (program.Recording, error) {
+		rec, err := src.record(ctx, req)
+		if req.Hi != 0 {
+			rec.Slices[0] = rec.Slices[0][:3] // a short refill
 		}
-		if !errors.Is(err, ErrBadSource) {
-			t.Fatalf("abort error = %v, want ErrBadSource", err)
-		}
+		return rec, err
+	}}
+	v := mustRecord(t, c, "w", 0, 30, bad)
+	func() {
+		defer func() {
+			err := engine.Recovered(recover())
+			if !errors.Is(err, ErrBadSource) {
+				t.Fatalf("replay over a malformed refill: abort error = %v, want ErrBadSource", err)
+			}
+		}()
+		drain(t, v)
+		t.Fatal("replay over a malformed refill returned normally")
 	}()
-	c.Record("w", 0, 30, bad)
-	t.Fatal("legacy Record returned normally for a malformed source")
+	if st := c.Stats(); st.SliceRerecords != 0 {
+		t.Fatalf("malformed refill counted as a re-record: %+v", st)
+	}
 }
 
 // TestNilCacheRecordCtxPropagatesError: the nil-cache passthrough
@@ -331,12 +334,12 @@ func TestLegacyRecordAbortsOnBadSource(t *testing.T) {
 func TestNilCacheRecordCtxPropagatesError(t *testing.T) {
 	var c *Cache
 	boom := errors.New("no trace today")
-	_, err := c.RecordCtx(context.Background(), "w", 0, 10, Source{
-		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-			return nil, nil, boom
+	_, err := c.Record(context.Background(), "w", 0, 10, Source{
+		Record: func(context.Context, program.Request) (program.Recording, error) {
+			return program.Recording{}, boom
 		},
 	})
 	if !errors.Is(err, boom) {
-		t.Fatalf("nil-cache RecordCtx = %v, want %v", err, boom)
+		t.Fatalf("nil-cache Record = %v, want %v", err, boom)
 	}
 }

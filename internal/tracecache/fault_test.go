@@ -64,7 +64,7 @@ func TestCacheRecordFaultPropagatesToWaiters(t *testing.T) {
 	// exactly on the trigger-th invocation of tracecache/record.
 	for i := uint64(1); i < trigger; i++ {
 		src := &source{n: 10}
-		if _, err := c.RecordCtx(context.Background(), fmt.Sprintf("burn%d", i), 0, 10, src.Source()); err != nil {
+		if _, err := c.Record(context.Background(), fmt.Sprintf("burn%d", i), 0, 10, src.Source()); err != nil {
 			t.Fatalf("burn recording %d failed early: %v", i, err)
 		}
 	}
@@ -72,7 +72,7 @@ func TestCacheRecordFaultPropagatesToWaiters(t *testing.T) {
 	src := newGateSource(50, false)
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, err := c.RecordCtx(context.Background(), "victim", 0, 50, src.Source())
+		_, err := c.Record(context.Background(), "victim", 0, 50, src.Source())
 		leaderDone <- err
 	}()
 	<-src.entered
@@ -80,7 +80,7 @@ func TestCacheRecordFaultPropagatesToWaiters(t *testing.T) {
 	waiterDone := make(chan error, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			_, err := c.RecordCtx(context.Background(), "victim", 0, 50, src.Source())
+			_, err := c.Record(context.Background(), "victim", 0, 50, src.Source())
 			waiterDone <- err
 		}()
 	}
@@ -112,7 +112,7 @@ func TestCacheRecordFaultPropagatesToWaiters(t *testing.T) {
 		t.Fatalf("faulted entry not withdrawn: %d entries, want %d", st.Entries, trigger-1)
 	}
 	// The fault fires exactly once; the retry records byte-identically.
-	v, err := c.RecordCtx(context.Background(), "victim", 0, 50, src.Source())
+	v, err := c.Record(context.Background(), "victim", 0, 50, src.Source())
 	if err != nil {
 		t.Fatalf("retry after injected fault: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestCacheResumeFaultFallsBackByteIdentical(t *testing.T) {
 	replay := func() (vals []uint64, st Stats, resumes int64) {
 		src := &ckptSource{source: source{n: 100}, every: 25}
 		c := NewSliced(10*instBytes, 10) // one-slice cap: every pin refills
-		v := c.Record("w", 0, 100, src.Source())
+		v := mustRecord(t, c, "w", 0, 100, src.Source())
 		return drain(t, v), c.Stats(), src.resumes.Load()
 	}
 
@@ -180,7 +180,7 @@ func TestCacheEvictChaosByteIdentical(t *testing.T) {
 
 	src := &ckptSource{source: source{n: 100}, every: 20}
 	c := NewSliced(0, 10) // uncapped: only chaos can evict
-	v := c.Record("w", 0, 100, src.Source())
+	v := mustRecord(t, c, "w", 0, 100, src.Source())
 	for pass := 0; pass < 2; pass++ {
 		checkIdentity(t, drain(t, v), 0)
 	}

@@ -20,19 +20,19 @@
 // cold slices, not whole recordings, so the cache's memory bound is the
 // union of the drivers' live slice working sets instead of N whole
 // traces. A request touching an evicted slice re-materializes exactly
-// that range under per-slice singleflight through the deterministic
-// skim path (Source.Range — reseed from the trace seed, regenerate the
-// prefix without storing it, fill only the missing window), so sharing
-// and eviction stay byte-invisible to every driver.
+// that range under per-slice singleflight, through the same
+// Source.Record callback that ingested the trace (a program.Request
+// for the slice's range), so sharing and eviction stay byte-invisible
+// to every driver.
 //
 // Refills resume from checkpoints when the recording captured them
-// (Source.Record's second return): the permanent header keeps the
-// checkpoint list, and a refill resumes from the nearest checkpoint at
-// or below the missing window (Source.Resume) instead of skimming the
-// whole prefix — O(window) instead of O(prefix + window). A checkpoint
-// that cannot resume (or a payload that captured none) falls back to
-// the skim path; Stats separates the two regimes (SliceResumes vs
-// SliceSkims).
+// (Recording.Ckpts): the permanent header keeps the checkpoint list and
+// hands it to every refill (Request.From), which resumes from the
+// nearest checkpoint at or below the missing window instead of skimming
+// the whole prefix — O(window) instead of O(prefix + window). A
+// checkpoint that cannot resume (or a payload that captured none) falls
+// back to the skim path; Stats separates the two regimes (SliceResumes
+// vs SliceSkims).
 //
 // Prefix serving is a truncation of the longer recording — the first b
 // instructions of the same program run — not a re-synthesis at the
@@ -69,9 +69,9 @@ import (
 
 // CkptPerSlice is the Source.CkptSpacing sentinel declaring that the
 // recording captures one checkpoint per cache slice, whatever slice
-// length the cache chooses (workload.CkptPerCacheSlice wires through to
-// this). The cache resolves it to the entry's slice length when
-// deriving the persistent-store key.
+// length the cache chooses. The cache resolves it to the entry's slice
+// length once, for both the recording request and the persistent-store
+// key.
 const CkptPerSlice = ^uint64(0)
 
 // ErrBadSource is the sentinel wrapped when a Source produces a
@@ -89,34 +89,18 @@ const instBytes = int64(unsafe.Sizeof(trace.Inst{}))
 // tracks a driver's slice-shaped working set instead of whole traces.
 const DefaultSliceInsts = 1 << 18
 
-// Source materializes one deterministic trace for the cache. All
-// callbacks must derive from the same (generator, seed, budget) triple:
-// Range(lo, hi) and Resume(ck, lo, hi) must reproduce exactly the
-// bytes Record put at [lo, hi).
+// Source materializes one deterministic trace for the cache.
 type Source struct {
-	// Record materializes the whole trace as consecutive, independently
-	// owned arrays of sliceLen instructions each (the last may be
-	// shorter; sliceLen == 0 or >= the trace length means one array),
-	// plus any payload checkpoints captured along the way (sorted by
-	// capture index; empty for non-checkpointable payloads). Called
-	// once per cache miss, outside the cache lock. ctx bounds the
-	// recording: a cancelled or failed Record returns a typed error and
-	// no arrays — partial recordings are never returned (the program
-	// layer enforces this; see DESIGN.md §9).
-	Record func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error)
-
-	// Range re-materializes instructions [lo, hi) of the same trace by
-	// skimming the prefix — the refill path of last resort. nil
-	// disables slice granularity for this trace: it is cached as a
-	// single slice and evicts whole.
-	Range func(lo, hi uint64) []trace.Inst
-
-	// Resume re-materializes instructions [lo, hi) starting from a
-	// checkpoint Record captured (ck.At <= lo), making the refill cost
-	// independent of lo. An error (a checkpoint that cannot resume)
-	// falls back to Range; wrong bytes are never served. nil disables
-	// checkpoint resume for this trace.
-	Resume func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error)
+	// Record materializes what req selects of the trace (see
+	// program.Request): on a miss, the whole trace as SliceLen-long
+	// arrays, capturing checkpoints every CkptEvery instructions; on a
+	// refill, one slice's range, resuming from the nearest checkpoint in
+	// From. Every call must derive from the same (generator, seed,
+	// budget) triple, so a refill reproduces exactly the bytes the miss
+	// put at [Lo, Hi). Record runs outside the cache lock. ctx bounds the
+	// call: a cancelled or failed Record returns a typed error and no
+	// arrays (the program layer enforces this; see DESIGN.md §9).
+	Record func(ctx context.Context, req program.Request) (program.Recording, error)
 
 	// BudgetSensitive declares that the payload's static structure
 	// scales with the recording budget, so a shorter trace is NOT a
@@ -125,12 +109,12 @@ type Source struct {
 	// serves it as a truncated prefix of a different budget.
 	BudgetSensitive bool
 
-	// CkptSpacing is the checkpoint spacing Record captures at (0 =
-	// none, CkptPerSlice = one per cache slice). It only parameterizes
-	// the persistent-store content key — the recording itself takes its
-	// spacing through Record's closure — but it must match what Record
-	// does: two recordings that differ in checkpoint capture are
-	// different stored artifacts.
+	// CkptSpacing is the checkpoint spacing to capture at (0 = none,
+	// CkptPerSlice = one per cache slice). The cache resolves it once
+	// and uses the result both as the miss's Request.CkptEvery and in
+	// the persistent-store content key, so the two cannot disagree: two
+	// recordings that differ in checkpoint capture are different stored
+	// artifacts.
 	CkptSpacing uint64
 }
 
@@ -162,15 +146,18 @@ type entry struct {
 	// later.
 	skey  tracestore.Key
 	store *tracestore.Store
-	rng   func(lo, hi uint64) []trace.Inst // deterministic skim refill for [lo, hi)
-	// Checkpoint machinery: ckpts (sorted by At, captured during the
-	// first recording) and resume make refills O(window). Both may be
-	// empty/nil — the skim path is always available. Checkpoints live
-	// in the permanent header: a few hundred words per trace, exempt
-	// from the LRU cap like the header itself.
-	ckpts  []program.Checkpoint
-	resume func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error)
-	ready  chan struct{} // closed when slices/total (or err) are set
+	// record is the Source's callback, used for refills under
+	// refillCtx: the recording context's values without its
+	// cancellation, because a replay must be able to finish after the
+	// recording's caller has gone.
+	record    func(ctx context.Context, req program.Request) (program.Recording, error)
+	refillCtx context.Context
+	// ckpts (sorted by At, captured during the first recording) make
+	// refills O(window); empty for payloads that captured none.
+	// Checkpoints live in the permanent header: a few hundred words per
+	// trace, exempt from the LRU cap like the header itself.
+	ckpts []program.Checkpoint
+	ready chan struct{} // closed when slices/total (or err) are set
 	// err is the leader's terminal failure, set before ready closes. A
 	// cancellation-class err means the leader's caller went away and a
 	// surviving waiter should take over the recording (hand-off); any
@@ -179,22 +166,24 @@ type entry struct {
 	err error
 }
 
-// refill re-materializes [lo, hi), resuming from the nearest
-// checkpoint when possible and reporting which regime served it.
-// Called without the cache lock held.
-func (e *entry) refill(lo, hi uint64) (data []trace.Inst, resumed bool) {
-	if e.resume != nil {
-		if ck := program.NearestCheckpoint(e.ckpts, lo); ck != nil {
-			if ferr := faultinject.Fail(faultinject.CacheResume); ferr == nil {
-				if data, err := e.resume(ck, lo, hi); err == nil {
-					return data, true
-				}
-			}
-			// An unusable checkpoint — or an injected resume fault —
-			// degrades to the exact skim path: slower, same bytes.
+// refill re-materializes [lo, hi) — one slice — handing the stored
+// checkpoints to the source so it resumes from the nearest one at or
+// below lo; the recording reports which regime served it. Called
+// without the cache lock held.
+func (e *entry) refill(lo, hi uint64) (program.Recording, error) {
+	from := e.ckpts
+	if program.NearestCheckpoint(from, lo) != nil {
+		if ferr := faultinject.Fail(faultinject.CacheResume); ferr != nil {
+			// An injected resume fault takes the exact skim path:
+			// slower, same bytes.
+			from = nil
 		}
 	}
-	return e.rng(lo, hi), false
+	rec, err := e.record(e.refillCtx, program.Request{Lo: lo, Hi: hi, SliceLen: e.sliceLen, From: from})
+	if err == nil && (len(rec.Slices) != 1 || uint64(len(rec.Slices[0])) != hi-lo) {
+		err = fmt.Errorf("%w: refill of [%d,%d) returned %d arrays", ErrBadSource, lo, hi, len(rec.Slices))
+	}
+	return rec, err
 }
 
 // sliceEnt is one independently accounted, independently evictable
@@ -366,60 +355,31 @@ func (c *Cache) SetStore(s *tracestore.Store) {
 	c.mu.Unlock()
 }
 
-// storeKeyFor derives the persistent-store content key of one entry:
-// everything the recorded bytes are a function of. CkptPerSlice
-// resolves to the entry's actual slice length, so the key is stable
-// across processes configured with the same geometry.
-func storeKeyFor(name string, input int, budget, sliceLen uint64, src Source) tracestore.Key {
-	spacing := src.CkptSpacing
-	if spacing == CkptPerSlice {
-		spacing = sliceLen
-	}
-	return tracestore.Key{
-		Name:      name,
-		Input:     input,
-		Budget:    budget,
-		SliceLen:  sliceLen,
-		CkptEvery: spacing,
-	}
-}
-
-// Record returns the trace for (name, input) truncated to budget
-// instructions, invoking src to materialize it on a miss. src must
-// produce the deterministic recording for exactly this (name, input,
-// budget) triple; its callbacks run without the cache lock held, so
-// they may be arbitrarily slow and may themselves use the cache under
-// different keys.
-//
-// The returned view replays through resident slices zero-copy and
-// re-materializes evicted slices on demand — resuming from a stored
-// checkpoint when the recording captured one at or below the missing
-// window (Source.Resume), skimming the prefix otherwise (Source.Range)
-// — so replays are byte-identical to an uncached recording under any
-// cap. Concurrent calls for the same key share one recording. For
-// budget-insensitive sources a call whose budget exceeds the resident
-// entry's re-records at the larger budget and replaces it; a
-// budget-sensitive source (Source.BudgetSensitive) keys each budget
-// separately instead, since its traces are not prefix-comparable.
-func (c *Cache) Record(name string, input int, budget uint64, src Source) trace.Replayable {
-	v, err := c.RecordCtx(context.Background(), name, input, budget, src)
-	if err != nil {
-		// The background context cannot cancel, so only a source failure
-		// lands here; escalate it to the run boundary rather than serve
-		// nothing (the legacy surface has no error return).
-		engine.Abort(err)
-	}
-	return v
-}
-
 // canceledErr is the typed error a cancelled Record call returns; it
 // classifies as cancellation under engine.IsCancel.
 func canceledErr(ctx context.Context) error {
 	return fmt.Errorf("tracecache: recording canceled: %w", ctx.Err())
 }
 
-// RecordCtx is Record bounded by ctx, with the failure contract of
-// DESIGN.md §9:
+// Record returns the trace for (name, input) truncated to budget
+// instructions, invoking src to materialize it on a miss. src must
+// produce the deterministic recording for exactly this (name, input,
+// budget) triple; its callback runs without the cache lock held, so it
+// may be arbitrarily slow and may itself use the cache under different
+// keys. A nil cache records the whole trace on every call.
+//
+// The returned view replays through resident slices zero-copy and
+// re-materializes evicted slices on demand — resuming from a stored
+// checkpoint when the recording captured one at or below the missing
+// window, skimming the prefix otherwise — so replays are
+// byte-identical to an uncached recording under any cap. Concurrent
+// calls for the same key share one recording. For budget-insensitive
+// sources a call whose budget exceeds the resident entry's re-records
+// at the larger budget and replaces it; a budget-sensitive source
+// (Source.BudgetSensitive) keys each budget separately instead, since
+// its traces are not prefix-comparable.
+//
+// ctx bounds the call, with the failure contract of DESIGN.md §9:
 //
 //   - A caller cancelled while coalesced on another goroutine's
 //     recording detaches immediately with a typed cancellation error;
@@ -437,16 +397,16 @@ func canceledErr(ctx context.Context) error {
 //
 // In every case the cache never serves partial or wrong bytes: a
 // successful return is byte-identical to an uncached recording.
-func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget uint64, src Source) (trace.Replayable, error) {
+func (c *Cache) Record(ctx context.Context, name string, input int, budget uint64, src Source) (trace.Replayable, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if c == nil {
-		arrs, _, err := src.Record(ctx, 0)
+		rec, err := src.Record(ctx, program.Request{})
 		if err != nil {
 			return nil, err
 		}
-		return trace.FromSlice(joinArrays(arrs)), nil
+		return rec.Buffer(), nil
 	}
 	k := key{name: name, input: input}
 	if src.BudgetSensitive {
@@ -510,32 +470,24 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 		break
 	}
 
-	e := &entry{key: k, budget: budget, ready: make(chan struct{})}
+	e := &entry{
+		key:       k,
+		budget:    budget,
+		ready:     make(chan struct{}),
+		record:    src.Record,
+		refillCtx: context.WithoutCancel(ctx),
+	}
 	e.sliceLen = c.sliceInsts
-	if e.sliceLen == 0 || e.sliceLen > budget || src.Range == nil {
+	if e.sliceLen == 0 || e.sliceLen > budget {
 		e.sliceLen = budget
 	}
-	e.rng = src.Range
-	e.resume = src.Resume
-	if e.rng == nil {
-		// Whole-trace granularity: the single slice refills through a
-		// full re-recording. Refills are deliberately context-free (a
-		// replay must be able to finish after the recording context is
-		// gone); a failure escalates to the run boundary.
-		record := src.Record
-		e.rng = func(lo, hi uint64) []trace.Inst {
-			//lint:ignore ctxflow refills are deliberately context-free per the comment above: a replay must be able to finish after the recording context is gone
-			arrs, _, err := record(context.Background(), 0)
-			if err != nil {
-				engine.Abort(err)
-			}
-			return joinArrays(arrs)[lo:hi]
-		}
-		e.resume = nil
+	spacing := src.CkptSpacing
+	if spacing == CkptPerSlice {
+		spacing = e.sliceLen
 	}
 	if c.store != nil && budget > 0 {
 		e.store = c.store
-		e.skey = storeKeyFor(name, input, budget, e.sliceLen, src)
+		e.skey = tracestore.Key{Name: name, Input: input, Budget: budget, SliceLen: e.sliceLen, CkptEvery: spacing}
 	}
 	c.entries[k] = e
 	c.mu.Unlock()
@@ -592,7 +544,8 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
-	arrs, ckpts, err := src.Record(ctx, e.sliceLen)
+	rec, err := src.Record(ctx, program.Request{SliceLen: e.sliceLen, CkptEvery: spacing})
+	arrs, ckpts := rec.Slices, rec.Ckpts
 	if err == nil {
 		if ferr := faultinject.Fail(faultinject.CacheRecord); ferr != nil {
 			err = fmt.Errorf("tracecache: record %s/%d: %w", name, input, ferr)
@@ -603,7 +556,7 @@ func (c *Cache) RecordCtx(ctx context.Context, name string, input int, budget ui
 			// Middle slices must be exactly sliceLen: the slice index math
 			// (global index / sliceLen) depends on it.
 			if i < len(arrs)-1 && uint64(len(a)) != e.sliceLen {
-				err = fmt.Errorf("%w: Source.Record(%d) slice %d has %d insts",
+				err = fmt.Errorf("%w: Source.Record(SliceLen %d) slice %d has %d insts",
 					ErrBadSource, e.sliceLen, i, len(a))
 				break
 			}
@@ -725,7 +678,13 @@ func (c *Cache) pin(e *entry, si int) []trace.Inst {
 			}
 		}
 		if pin == nil {
-			data, resumed = e.refill(lo, hi)
+			rec, err := e.refill(lo, hi)
+			if err != nil {
+				// Replays have no error return: escalate to the run
+				// boundary (the deferred cleanup wakes any waiters).
+				engine.Abort(err)
+			}
+			data, resumed = rec.Slices[0], rec.Resumed
 		}
 		done = true
 
@@ -842,7 +801,8 @@ func (c *Cache) Stats() Stats {
 
 // drop removes a resident entry and all its resident slices from the
 // map and LRU (caller holds mu). Views already handed out keep working:
-// they hold the entry and re-materialize through its rng, un-accounted.
+// they hold the entry and re-materialize through its source,
+// un-accounted.
 func (c *Cache) drop(e *entry) {
 	if c.entries[e.key] == e {
 		delete(c.entries, e.key)
@@ -896,23 +856,6 @@ func (c *Cache) evictLocked() {
 		c.stats.Slices--
 		c.stats.SliceEvictions++
 	}
-}
-
-// joinArrays concatenates per-slice arrays into one (zero-copy for the
-// single-array case) — the nil-cache and whole-trace fallback.
-func joinArrays(arrs [][]trace.Inst) []trace.Inst {
-	if len(arrs) == 1 {
-		return arrs[0]
-	}
-	n := 0
-	for _, a := range arrs {
-		n += len(a)
-	}
-	out := make([]trace.Inst, 0, n)
-	for _, a := range arrs {
-		out = append(out, a...)
-	}
-	return out
 }
 
 // viewOf serves a request of the given budget from e (caller holds mu).

@@ -2,7 +2,6 @@ package tracecache
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,36 +31,41 @@ type source struct {
 	ranges  atomic.Int64 // slice ranges re-materialized
 }
 
-func (s *source) Source() Source {
-	return Source{
-		Record: func(_ context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-			s.records.Add(1)
-			if sliceLen == 0 || sliceLen >= uint64(s.n) {
-				return [][]trace.Inst{mkInsts(0, s.n)}, nil, nil
-			}
-			var out [][]trace.Inst
-			for lo := 0; lo < s.n; lo += int(sliceLen) {
-				hi := lo + int(sliceLen)
-				if hi > s.n {
-					hi = s.n
-				}
-				out = append(out, mkInsts(lo, hi))
-			}
-			return out, nil, nil
-		},
-		Range: func(lo, hi uint64) []trace.Inst {
-			s.ranges.Add(1)
-			return mkInsts(int(lo), int(hi))
-		},
+func (s *source) Source() Source { return Source{Record: s.record} }
+
+// record serves a program.Request over the test trace: the miss (no
+// range bound) as SliceLen-long arrays, a refill as its one range.
+func (s *source) record(_ context.Context, req program.Request) (program.Recording, error) {
+	lo, hi := int(req.Lo), s.n
+	if req.Hi != 0 && int(req.Hi) < hi {
+		hi = int(req.Hi)
 	}
+	if req.Hi == 0 {
+		s.records.Add(1)
+	} else {
+		s.ranges.Add(1)
+	}
+	step := int(req.SliceLen)
+	if step == 0 || step > hi-lo {
+		step = hi - lo
+	}
+	var rec program.Recording
+	for a := lo; a < hi; a += step {
+		rec.Slices = append(rec.Slices, mkInsts(a, min(a+step, hi)))
+	}
+	return rec, nil
 }
 
-// WholeSource is Source without range re-materialization: the cache
-// must fall back to whole-trace granularity for it.
-func (s *source) WholeSource() Source {
-	src := s.Source()
-	src.Range = nil
-	return src
+// mustRecord is Cache.Record under the background context; a failure
+// fails the test.
+func mustRecord(t testing.TB, c *Cache, name string, input int, budget uint64, src Source) trace.Replayable {
+	t.Helper()
+	v, err := c.Record(context.Background(), name, input, budget, src)
+	if err != nil {
+		t.Errorf("Record(%s/%d, budget %d): %v", name, input, budget, err)
+		return trace.FromSlice(nil)
+	}
+	return v
 }
 
 func drain(t *testing.T, tr trace.Replayable) []uint64 {
@@ -91,11 +95,11 @@ func checkIdentity(t *testing.T, vals []uint64, lo int) {
 func TestPrefixServing(t *testing.T) {
 	c := New(0)
 	src := &source{n: 100}
-	full := c.Record("w", 0, 100, src.Source())
+	full := mustRecord(t, c, "w", 0, 100, src.Source())
 	if full.Len() != 100 {
 		t.Fatalf("full recording has %d insts, want 100", full.Len())
 	}
-	half := c.Record("w", 0, 50, src.Source())
+	half := mustRecord(t, c, "w", 0, 50, src.Source())
 	if got := src.records.Load(); got != 1 {
 		t.Fatalf("recorder ran %d times, want 1 (prefix must be served from cache)", got)
 	}
@@ -112,8 +116,8 @@ func TestPrefixServing(t *testing.T) {
 func TestLargerBudgetReRecords(t *testing.T) {
 	c := New(0)
 	small, large := &source{n: 50}, &source{n: 100}
-	c.Record("w", 0, 50, small.Source())
-	big := c.Record("w", 0, 100, large.Source())
+	mustRecord(t, c, "w", 0, 50, small.Source())
+	big := mustRecord(t, c, "w", 0, 100, large.Source())
 	if small.records.Load()+large.records.Load() != 2 {
 		t.Fatalf("recorders ran %d+%d times, want 2 total (larger budget must re-record)",
 			small.records.Load(), large.records.Load())
@@ -127,7 +131,7 @@ func TestLargerBudgetReRecords(t *testing.T) {
 		t.Fatalf("entries = %d, want 1 (smaller recording replaced)", st.Entries)
 	}
 	// The replacement serves subsequent smaller requests.
-	c.Record("w", 0, 50, small.Source())
+	mustRecord(t, c, "w", 0, 50, small.Source())
 	if small.records.Load() != 1 {
 		t.Fatalf("small recorder ran %d times after replacement hit, want 1", small.records.Load())
 	}
@@ -161,7 +165,7 @@ func TestSliceEvictionAccounting(t *testing.T) {
 	// 40-instruction trace in 10-instruction slices, cap = 2 slices.
 	c := NewSliced(2*10*instBytes, 10)
 	src := &source{n: 40}
-	v := c.Record("w", 0, 40, src.Source())
+	v := mustRecord(t, c, "w", 0, 40, src.Source())
 	st := c.Stats()
 	if st.Slices != 2 || st.SliceEvictions != 2 {
 		t.Fatalf("after insert: %d slices resident, %d evicted; want 2 and 2", st.Slices, st.SliceEvictions)
@@ -210,7 +214,7 @@ func TestEvictedSliceReRecordByteIdentity(t *testing.T) {
 		// Cap of one slice: every replay step evicts its predecessor.
 		c := NewSliced(int64(sliceLen)*instBytes, sliceLen)
 		src := &source{n: n}
-		v := c.Record("w", 0, n, src.Source())
+		v := mustRecord(t, c, "w", 0, n, src.Source())
 		for pass := 0; pass < 2; pass++ {
 			checkIdentity(t, drain(t, v), 0)
 		}
@@ -227,15 +231,17 @@ func TestEvictedSliceReRecordByteIdentity(t *testing.T) {
 	}
 }
 
-// TestWholeTraceGranularityNoRange: a Source without Range caches as a
-// single slice and refills through a full re-recording.
+// TestWholeTraceGranularityNoRange: a cache without slice granularity
+// keeps each trace as a single slice; an evicted trace refills through
+// one request for its whole range, not a second miss recording.
 func TestWholeTraceGranularityNoRange(t *testing.T) {
-	c := NewSliced(10*instBytes, 10) // cap smaller than the trace
+	c := NewSliced(10*instBytes, 0) // cap smaller than the trace
 	src := &source{n: 100}
-	v := c.Record("w", 0, 100, src.WholeSource())
+	v := mustRecord(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v), 0)
-	if src.records.Load() != 2 {
-		t.Fatalf("recorder ran %d times, want 2 (initial + whole-trace refill)", src.records.Load())
+	if src.records.Load() != 1 || src.ranges.Load() != 1 {
+		t.Fatalf("recorder ran %d miss recordings and %d refills, want 1 and 1",
+			src.records.Load(), src.ranges.Load())
 	}
 	if st := c.Stats(); st.SliceRerecords != 1 {
 		t.Fatalf("SliceRerecords = %d, want 1", st.SliceRerecords)
@@ -249,10 +255,10 @@ func TestLRUEviction(t *testing.T) {
 	a := &source{n: 100}
 	b := &source{n: 100}
 	cc := &source{n: 100}
-	drain(t, c.Record("a", 0, 100, a.Source()))
-	drain(t, c.Record("b", 0, 100, b.Source()))
-	drain(t, c.Record("a", 0, 100, a.Source()))  // touch a: b is now LRU
-	drain(t, c.Record("c", 0, 100, cc.Source())) // evicts b
+	drain(t, mustRecord(t, c, "a", 0, 100, a.Source()))
+	drain(t, mustRecord(t, c, "b", 0, 100, b.Source()))
+	drain(t, mustRecord(t, c, "a", 0, 100, a.Source()))  // touch a: b is now LRU
+	drain(t, mustRecord(t, c, "c", 0, 100, cc.Source())) // evicts b
 	st := c.Stats()
 	if st.SliceEvictions != 1 || st.Slices != 2 {
 		t.Fatalf("stats = %+v, want 1 slice eviction and 2 resident slices", st)
@@ -261,12 +267,12 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatalf("bytes in use %d, want %d", st.BytesInUse, 2*100*instBytes)
 	}
 	// a survived (recently pinned): replaying it re-records nothing.
-	drain(t, c.Record("a", 0, 100, a.Source()))
+	drain(t, mustRecord(t, c, "a", 0, 100, a.Source()))
 	if r := a.ranges.Load() + a.records.Load(); r != 1 {
 		t.Fatalf("a recorded %d times total, want 1 (should have survived)", r)
 	}
 	// b was evicted: replaying it re-materializes.
-	drain(t, c.Record("b", 0, 100, b.Source()))
+	drain(t, mustRecord(t, c, "b", 0, 100, b.Source()))
 	if b.ranges.Load() == 0 {
 		t.Fatal("b should have been evicted and re-recorded on replay")
 	}
@@ -279,7 +285,7 @@ func TestCapSmallerThanOneTrace(t *testing.T) {
 	c := NewSliced(10*instBytes, 100)
 	src := &source{n: 100}
 	for i := 0; i < 3; i++ {
-		v := c.Record("w", 0, 100, src.Source())
+		v := mustRecord(t, c, "w", 0, 100, src.Source())
 		if v.Len() != 100 {
 			t.Fatalf("iteration %d: got %d insts, want 100", i, v.Len())
 		}
@@ -304,7 +310,7 @@ func TestCappedResidencyBelowWholeTrace(t *testing.T) {
 	cap := int64(3 * 100 * instBytes) // 3 of 10 slices
 	c := NewSliced(cap, 100)
 	src := &source{n: n}
-	v := c.Record("w", 0, n, src.Source())
+	v := mustRecord(t, c, "w", 0, n, src.Source())
 	whole := int64(n) * instBytes
 	bs := v.BlockStream(64)
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
@@ -326,7 +332,7 @@ func TestSingleflight(t *testing.T) {
 		go func(g int) {
 			defer done.Done()
 			start.Wait()
-			lens[g] = c.Record("w", 0, 5000, src.Source()).Len()
+			lens[g] = mustRecord(t, c, "w", 0, 5000, src.Source()).Len()
 		}(g)
 	}
 	start.Done()
@@ -351,7 +357,7 @@ func TestSingleflight(t *testing.T) {
 func TestConcurrentEvictedReplay(t *testing.T) {
 	c := NewSliced(16*instBytes, 16)
 	src := &source{n: 256}
-	v := c.Record("w", 0, 256, src.Source())
+	v := mustRecord(t, c, "w", 0, 256, src.Source())
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -387,7 +393,7 @@ func TestConcurrentMixedKeys(t *testing.T) {
 				name = "odd"
 			}
 			src := &source{n: 1000}
-			v := c.Record(name, g%4/2, 1000, src.Source())
+			v := mustRecord(t, c, name, g%4/2, 1000, src.Source())
 			records.Add(src.records.Load())
 			if v.Len() != 1000 {
 				t.Errorf("bad recording length %d", v.Len())
@@ -422,7 +428,7 @@ func TestMemoFromRematerializedSlices(t *testing.T) {
 
 	c := NewSliced(10*instBytes, 10) // one-slice cap: everything evicts
 	src := &source{n: 100}
-	v := c.Record("w", 0, 100, src.Source())
+	v := mustRecord(t, c, "w", 0, 100, src.Source())
 	var computes atomic.Int64
 	got := c.Memo("sum/w/0", func() any {
 		computes.Add(1)
@@ -497,7 +503,7 @@ func TestNilCachePassthrough(t *testing.T) {
 	var c *Cache
 	src := &source{n: 10}
 	for i := 0; i < 2; i++ {
-		if v := c.Record("w", 0, 10, src.Source()); v.Len() != 10 {
+		if v := mustRecord(t, c, "w", 0, 10, src.Source()); v.Len() != 10 {
 			t.Fatal("nil cache must pass recordings through")
 		}
 	}
@@ -512,8 +518,8 @@ func TestNilCachePassthrough(t *testing.T) {
 func TestStatsRendering(t *testing.T) {
 	c := New(1 << 20)
 	src := &source{n: 10}
-	c.Record("w", 0, 10, src.Source())
-	c.Record("w", 0, 10, src.Source())
+	mustRecord(t, c, "w", 0, 10, src.Source())
+	mustRecord(t, c, "w", 0, 10, src.Source())
 	st := c.Stats()
 	if st.String() == "" {
 		t.Fatal("empty String rendering")
@@ -531,45 +537,36 @@ func TestStatsRendering(t *testing.T) {
 }
 
 // ckptSource is a counting Source over the same deterministic trace
-// with fake checkpoints every `every` instructions and a Resume path,
-// mirroring what a checkpointed workload recording provides.
+// that captures fake checkpoints every `every` instructions and resumes
+// refills from them, mirroring what a checkpointed workload recording
+// provides.
 type ckptSource struct {
 	source
 	every   int
-	resumes atomic.Int64 // refills served via Resume
-	skims   atomic.Int64 // refills that fell back to Range
-	fail    bool         // make Resume fail, forcing the fallback
+	resumes atomic.Int64 // refills resumed from a checkpoint
+	skims   atomic.Int64 // refills that skimmed from zero
+	fail    bool         // checkpoints cannot resume: every refill skims
 }
 
-func (s *ckptSource) Source() Source {
-	src := s.source.Source()
-	src.Record = func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-		arrs, _, _ := s.source.Source().Record(ctx, sliceLen)
-		s.records.Store(s.source.records.Load()) // keep outer counter honest
-		var cks []program.Checkpoint
+func (s *ckptSource) Source() Source { return Source{Record: s.record} }
+
+func (s *ckptSource) record(ctx context.Context, req program.Request) (program.Recording, error) {
+	rec, err := s.source.record(ctx, req)
+	if req.Hi == 0 {
 		for at := s.every; at < s.n; at += s.every {
-			// Only At matters to the cache; the resume closure below
-			// regenerates from it directly.
-			cks = append(cks, program.Checkpoint{At: uint64(at), Rng: [4]uint64{1, 0, 0, 0}})
+			// Only At matters to the cache; refills regenerate from it
+			// directly.
+			rec.Ckpts = append(rec.Ckpts, program.Checkpoint{At: uint64(at), Rng: [4]uint64{1, 0, 0, 0}})
 		}
-		return arrs, cks, nil
+		return rec, err
 	}
-	src.Resume = func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-		if ck.At > lo {
-			return nil, errors.New("checkpoint past window")
-		}
-		if s.fail {
-			return nil, errors.New("unusable checkpoint")
-		}
+	if program.NearestCheckpoint(req.From, req.Lo) != nil && !s.fail {
 		s.resumes.Add(1)
-		return mkInsts(int(lo), int(hi)), nil
-	}
-	origRange := src.Range
-	src.Range = func(lo, hi uint64) []trace.Inst {
+		rec.Resumed = true
+	} else {
 		s.skims.Add(1)
-		return origRange(lo, hi)
 	}
-	return src
+	return rec, err
 }
 
 // TestCheckpointResumeRefill: with checkpoints in the header, evicted
@@ -579,7 +576,7 @@ func TestCheckpointResumeRefill(t *testing.T) {
 	// 100-inst trace, 10-inst slices, one-slice cap: every pin refills.
 	src := &ckptSource{source: source{n: 100}, every: 25}
 	c := NewSliced(10*instBytes, 10)
-	v := c.Record("w", 0, 100, src.Source())
+	v := mustRecord(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v), 0)
 	st := c.Stats()
 	if st.SliceRerecords == 0 {
@@ -607,7 +604,7 @@ func TestCheckpointResumeRefill(t *testing.T) {
 func TestCheckpointResumeFailureFallsBack(t *testing.T) {
 	src := &ckptSource{source: source{n: 100}, every: 20, fail: true}
 	c := NewSliced(10*instBytes, 10)
-	v := c.Record("w", 0, 100, src.Source())
+	v := mustRecord(t, c, "w", 0, 100, src.Source())
 	checkIdentity(t, drain(t, v), 0)
 	st := c.Stats()
 	if st.SliceResumes != 0 {
@@ -623,7 +620,7 @@ func TestCheckpointResumeFailureFallsBack(t *testing.T) {
 func TestConcurrentCheckpointResume(t *testing.T) {
 	src := &ckptSource{source: source{n: 256}, every: 16}
 	c := NewSliced(16*instBytes, 16)
-	v := c.Record("w", 0, 256, src.Source())
+	v := mustRecord(t, c, "w", 0, 256, src.Source())
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -668,11 +665,13 @@ func (s *budgetSource) insts(lo, hi int) []trace.Inst {
 func (s *budgetSource) Source() Source {
 	return Source{
 		BudgetSensitive: true,
-		Record: func(context.Context, uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-			s.records.Add(1)
-			return [][]trace.Inst{s.insts(0, s.budget)}, nil, nil
+		Record: func(_ context.Context, req program.Request) (program.Recording, error) {
+			if req.Hi == 0 {
+				s.records.Add(1)
+				return program.Recording{Slices: [][]trace.Inst{s.insts(0, s.budget)}}, nil
+			}
+			return program.Recording{Slices: [][]trace.Inst{s.insts(int(req.Lo), int(req.Hi))}}, nil
 		},
-		Range: func(lo, hi uint64) []trace.Inst { return s.insts(int(lo), int(hi)) },
 	}
 }
 
@@ -686,8 +685,8 @@ func TestBudgetSensitiveNotServedPrefix(t *testing.T) {
 	c := New(0)
 	big := &budgetSource{budget: 100}
 	small := &budgetSource{budget: 50}
-	c.Record("w", 0, 100, big.Source())
-	half := c.Record("w", 0, 50, small.Source())
+	mustRecord(t, c, "w", 0, 100, big.Source())
+	half := mustRecord(t, c, "w", 0, 50, small.Source())
 	if small.records.Load() != 1 {
 		t.Fatalf("smaller budget was served without recording (%d recordings): truncated prefix of a budget-sensitive trace",
 			small.records.Load())
@@ -704,8 +703,8 @@ func TestBudgetSensitiveNotServedPrefix(t *testing.T) {
 		}
 	}
 	// Each budget is its own entry; repeat requests at either budget hit.
-	c.Record("w", 0, 100, big.Source())
-	c.Record("w", 0, 50, small.Source())
+	mustRecord(t, c, "w", 0, 100, big.Source())
+	mustRecord(t, c, "w", 0, 50, small.Source())
 	if big.records.Load() != 1 || small.records.Load() != 1 {
 		t.Fatalf("repeat requests re-recorded (big=%d small=%d)", big.records.Load(), small.records.Load())
 	}

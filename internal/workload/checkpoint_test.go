@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"branchlab/internal/engine"
+	"branchlab/internal/program"
 	"branchlab/internal/trace"
 )
 
@@ -20,10 +21,11 @@ func TestCheckpointResumeByteIdenticalAllWorkloads(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			want := s.Record(0, budget)
+			want := record(t, s, 0, budget)
 			for _, every := range spacings {
-				arrs, cks := s.RecordSlices(0, budget, sliceLen, nil, 1, every)
-				assertJoinEquals(t, arrs, want, s.Name)
+				rec := recordReq(t, s, 0, budget, program.Request{SliceLen: sliceLen, CkptEvery: every})
+				assertJoinEquals(t, rec.Slices, want, s.Name)
+				cks := rec.Ckpts
 				if every > budget {
 					if len(cks) != 0 {
 						t.Fatalf("spacing %d > budget captured %d checkpoints", every, len(cks))
@@ -45,11 +47,11 @@ func TestCheckpointResumeByteIdenticalAllWorkloads(t *testing.T) {
 						if lo >= hi {
 							continue
 						}
-						got, err := s.RecordRangeFrom(0, budget, ck, lo, hi)
-						if err != nil {
-							t.Fatalf("resume ck@%d window [%d,%d): %v", ck.At, lo, hi, err)
+						got := recordReq(t, s, 0, budget, program.Request{Lo: lo, Hi: hi, From: cks[i : i+1]})
+						if !got.Resumed {
+							t.Fatalf("window [%d,%d) did not resume from ck@%d", lo, hi, ck.At)
 						}
-						for j, inst := range got {
+						for j, inst := range got.Slices[0] {
 							if inst != want.At(int(lo)+j) {
 								t.Fatalf("resume ck@%d window [%d,%d): inst %d differs", ck.At, lo, hi, j)
 							}
@@ -68,13 +70,14 @@ func TestCheckpointShardedRecordingByteIdentical(t *testing.T) {
 	pool := engine.New(4)
 	for _, name := range []string{"605.mcf_s", "game"} {
 		s := mustSpec(t, name)
-		want := s.Record(0, budget)
-		arrs, cks := s.RecordSlices(0, budget, 20_000, nil, 1, 20_000)
-		assertJoinEquals(t, arrs, want, name)
+		want := record(t, s, 0, budget)
+		rec := recordReq(t, s, 0, budget, program.Request{SliceLen: 20_000, CkptEvery: 20_000})
+		assertJoinEquals(t, rec.Slices, want, name)
+		cks := rec.Ckpts
 		if len(cks) == 0 {
 			t.Fatalf("%s: no checkpoints captured", name)
 		}
-		_, shardedCks := s.RecordSlices(0, budget, 20_000, pool, 4, 20_000)
+		shardedCks := recordReq(t, s, 0, budget, program.Request{SliceLen: 20_000, Shards: 4, Pool: pool, CkptEvery: 20_000}).Ckpts
 		if len(shardedCks) != len(cks) {
 			t.Fatalf("%s: sharded capture found %d checkpoints, sequential %d", name, len(shardedCks), len(cks))
 		}
@@ -84,7 +87,7 @@ func TestCheckpointShardedRecordingByteIdentical(t *testing.T) {
 			}
 		}
 		for _, shards := range []int{2, 5} {
-			got := s.RecordShardedFrom(0, budget, pool, shards, cks)
+			got := recordReq(t, s, 0, budget, program.Request{Shards: shards, Pool: pool, From: cks}).Buffer()
 			if got.Len() != want.Len() {
 				t.Fatalf("%s shards=%d: length %d, want %d", name, shards, got.Len(), want.Len())
 			}
@@ -113,15 +116,14 @@ func assertJoinEquals(t *testing.T, arrs [][]trace.Inst, want *trace.Buffer, lab
 	}
 }
 
-// A checkpoint from one (input, budget) must not resume another: the
-// typed-error path, not silent wrong bytes. The generator state layout
-// is identical across inputs, so the RNG/emitter state is what makes
-// the bytes diverge — this asserts the documented caller obligation
+// A checkpoint from one (input, budget) must not resume another. The
+// generator state layout is identical across inputs, so the RNG/emitter
+// state is what makes the bytes diverge — this asserts the documented caller obligation
 // (same triple) is what the exactness tests above actually rely on.
 func TestCheckpointIsTripleSpecific(t *testing.T) {
 	s := mustSpec(t, "605.mcf_s")
 	const budget = 60_000
-	_, cks := s.RecordSlices(0, budget, 15_000, nil, 1, 15_000)
+	cks := recordReq(t, s, 0, budget, program.Request{SliceLen: 15_000, CkptEvery: 15_000}).Ckpts
 	if len(cks) == 0 {
 		t.Fatal("no checkpoints")
 	}
@@ -132,13 +134,13 @@ func TestCheckpointIsTripleSpecific(t *testing.T) {
 	// triple. Resume may succeed mechanically — verify we are NOT
 	// byte-identical to the other budget's reference, i.e. the test
 	// above is not vacuously passing.
-	other := s.Record(0, budget*2)
-	got, err := s.RecordRangeFrom(0, budget*2, ck, ck.At, ck.At+2000)
-	if err != nil {
+	other := record(t, s, 0, budget*2)
+	rec := recordReq(t, s, 0, budget*2, program.Request{Lo: ck.At, Hi: ck.At + 2000, From: []program.Checkpoint{*ck}})
+	if !rec.Resumed {
 		return // rejected outright: equally acceptable
 	}
 	same := true
-	for j, inst := range got {
+	for j, inst := range rec.Slices[0] {
 		if inst != other.At(int(ck.At)+j) {
 			same = false
 			break

@@ -12,6 +12,7 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"branchlab/internal/engine"
@@ -50,101 +51,45 @@ func (s *Spec) seed(input int) uint64 {
 	return xrand.Mix64(h ^ uint64(input)*0x9e3779b97f4a7c15)
 }
 
-// Payload returns the program payload for one application input.
-func (s *Spec) Payload(input int) program.Payload {
+// ErrInputRange is the sentinel wrapped when a workload is asked for an
+// application input it does not have; the message names the valid
+// range.
+var ErrInputRange = errors.New("workload: input out of range")
+
+// payload returns the program payload for one application input.
+func (s *Spec) payload(input int) (program.Payload, error) {
 	if input < 0 || input >= s.NumInputs {
-		panic(fmt.Sprintf("workload %s: input %d out of range [0,%d)", s.Name, input, s.NumInputs))
+		return nil, fmt.Errorf("%w: %s has inputs [0,%d), not %d", ErrInputRange, s.Name, s.NumInputs, input)
 	}
 	m := s.mix
-	return func(e *program.Emitter) { newGen(e, m, input).run() }
+	return func(e *program.Emitter) { newGen(e, m, input).run() }, nil
 }
 
 // Stream starts the workload for one input with the given instruction
-// budget. Callers should close the stream via trace.CloseStream when
-// abandoning it early.
-func (s *Spec) Stream(input int, budget uint64) trace.Stream {
-	return program.Run(s.seed(input), budget, s.Payload(input))
+// budget (program.Run). Callers should close the stream via
+// trace.CloseStream when abandoning it early; when ctx is done the
+// generator unwinds at its next byte-safe point and trace.StreamErr
+// reports a typed cancellation (a truncated prefix is never silently
+// served).
+func (s *Spec) Stream(ctx context.Context, input int, budget uint64) (trace.Stream, error) {
+	p, err := s.payload(input)
+	if err != nil {
+		return nil, err
+	}
+	return program.Run(ctx, s.seed(input), budget, p), nil
 }
 
-// StreamCtx is Stream bounded by ctx: when ctx is done the generator
-// unwinds at its next byte-safe point and trace.StreamErr reports a
-// typed cancellation (a truncated prefix is never silently served).
-func (s *Spec) StreamCtx(ctx context.Context, input int, budget uint64) trace.Stream {
-	return program.RunCtx(ctx, s.seed(input), budget, s.Payload(input))
-}
-
-// Record materializes the trace for one input.
-func (s *Spec) Record(input int, budget uint64) *trace.Buffer {
-	return program.Record(s.seed(input), budget, s.Payload(input))
-}
-
-// RecordCtx is Record bounded by ctx; on cancellation or payload
-// failure it returns a typed error and no buffer.
-func (s *Spec) RecordCtx(ctx context.Context, input int, budget uint64) (*trace.Buffer, error) {
-	return program.RecordCtx(ctx, s.seed(input), budget, s.Payload(input))
-}
-
-// RecordSharded materializes the same trace Record produces, generating
-// disjoint instruction ranges on pool workers (program.RecordSharded).
-// The result is byte-identical to Record at any shard count.
-func (s *Spec) RecordSharded(input int, budget uint64, pool *engine.Pool, shards int) *trace.Buffer {
-	return program.RecordSharded(s.seed(input), budget, s.Payload(input), pool, shards)
-}
-
-// RecordShardedFrom is RecordSharded resuming each worker from the
-// nearest checkpoint at or below its range start
-// (program.RecordShardedFrom): with checkpoints from a prior
-// checkpointed recording of the same (input, budget), workers no
-// longer skim overlapping prefixes — re-recording is embarrassingly
-// parallel. Byte-identical to Record for any checkpoint list.
-func (s *Spec) RecordShardedFrom(input int, budget uint64, pool *engine.Pool, shards int, ckpts []program.Checkpoint) *trace.Buffer {
-	return program.RecordShardedFrom(s.seed(input), budget, s.Payload(input), pool, shards, ckpts)
-}
-
-// RecordShardedFromCtx is RecordShardedFrom bounded by ctx: shard
-// workers check cancellation at byte-safe points and a cancelled
-// recording returns a typed error, never a partial buffer.
-func (s *Spec) RecordShardedFromCtx(ctx context.Context, input int, budget uint64, pool *engine.Pool, shards int, ckpts []program.Checkpoint) (*trace.Buffer, error) {
-	return program.RecordShardedFromCtx(ctx, s.seed(input), budget, s.Payload(input), pool, shards, ckpts)
-}
-
-// RecordSlices materializes the same trace Record produces as
-// independently owned arrays of sliceLen instructions each — the
-// slice-granular trace cache's ingest path (program.RecordSlices).
-// Concatenated, the arrays are byte-identical to Record at any
-// (sliceLen, shards) combination. ckptEvery > 0 also captures payload
-// checkpoints at that spacing; every registered generator is
-// checkpointable, so the cache can later refill evicted slices in
-// O(window) via RecordRangeFrom.
-func (s *Spec) RecordSlices(input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []program.Checkpoint) {
-	return program.RecordSlices(s.seed(input), budget, s.Payload(input), sliceLen, pool, shards, ckptEvery)
-}
-
-// RecordSlicesCtx is RecordSlices bounded by ctx — the cache's
-// recording callback (CacheSource wires it into Source.Record).
-// Cancellation or payload failure returns a typed error; partial
-// slice arrays are never returned.
-func (s *Spec) RecordSlicesCtx(ctx context.Context, input int, budget, sliceLen uint64, pool *engine.Pool, shards int, ckptEvery uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-	return program.RecordSlicesCtx(ctx, s.seed(input), budget, s.Payload(input), sliceLen, pool, shards, ckptEvery)
-}
-
-// RecordRange re-materializes instructions [lo, hi) of one input's
-// trace at the given budget (program.RecordRange): the trace replays
-// deterministically from its seed, the prefix is skimmed without being
-// stored, and only the requested window allocates. Byte-identical to
-// the same range of Record's output.
-func (s *Spec) RecordRange(input int, budget, lo, hi uint64) []trace.Inst {
-	return program.RecordRange(s.seed(input), budget, s.Payload(input), lo, hi)
-}
-
-// RecordRangeFrom is RecordRange resuming from ck
-// (program.RecordRangeFrom): generation starts at ck.At instead of
-// instruction zero, making the window cost independent of lo. The
-// checkpoint must come from a checkpointed recording of the same
-// (input, budget); on any mismatch the call fails (typed error, never
-// wrong bytes) and the caller falls back to RecordRange.
-func (s *Spec) RecordRangeFrom(input int, budget uint64, ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-	return program.RecordRangeFrom(s.seed(input), budget, s.Payload(input), ck, lo, hi)
+// Record materializes one input's trace at the given budget as req
+// selects (program.Record): the whole trace or a range of it, in one
+// array or independently owned slices, sequentially or sharded,
+// capturing or resuming from checkpoints. Every registered generator is
+// checkpointable. The bytes are identical for every Request.
+func (s *Spec) Record(ctx context.Context, input int, budget uint64, req program.Request) (program.Recording, error) {
+	p, err := s.payload(input)
+	if err != nil {
+		return program.Recording{}, err
+	}
+	return program.Record(ctx, s.seed(input), budget, p, req)
 }
 
 // BudgetSensitive reports that this workload's traces are not
@@ -156,39 +101,20 @@ func (s *Spec) RecordRangeFrom(input int, budget uint64, ck *program.Checkpoint,
 // rather than serve truncated prefixes.
 func (s *Spec) BudgetSensitive() bool { return true }
 
-// CkptPerCacheSlice, passed as CacheSource's ckptEvery, captures one
-// checkpoint per cache slice: the spacing follows whatever slice
-// length the cache records this trace at.
-const CkptPerCacheSlice = ^uint64(0)
-
 // CacheSource is the tracecache.Source for one (input, budget) trace —
-// the single place the cache's record/refill callbacks are wired to
-// this package, shared by the experiments drivers, the facade and the
-// CLIs. Recording runs on pool with the given shard count; ckptEvery
-// is the checkpoint spacing (0 = no checkpoints, CkptPerCacheSlice =
-// one per cache slice). Refills resume from the captured checkpoints
-// (Resume) and fall back to the prefix skim (Range); both regenerate
-// byte-identical windows.
+// the single place the cache is wired to this package, shared by the
+// experiments drivers, the facade and the CLIs. Every recording the
+// cache requests, ingest and refill alike, runs on pool with the given
+// shard count; ckptEvery is the checkpoint spacing the cache resolves
+// and requests (0 = no checkpoints, tracecache.CkptPerSlice = one per
+// cache slice).
 func (s *Spec) CacheSource(input int, budget uint64, pool *engine.Pool, shards int, ckptEvery uint64) tracecache.Source {
 	return tracecache.Source{
 		BudgetSensitive: s.BudgetSensitive(),
-		// The spacing is part of the recording's content identity: the
-		// persistent store keys on it (the sentinel value is shared
-		// with tracecache.CkptPerSlice and resolves to the slice
-		// length there, exactly as Record resolves it below).
-		CkptSpacing: ckptEvery,
-		Record: func(ctx context.Context, sliceLen uint64) ([][]trace.Inst, []program.Checkpoint, error) {
-			every := ckptEvery
-			if every == CkptPerCacheSlice {
-				every = sliceLen
-			}
-			return s.RecordSlicesCtx(ctx, input, budget, sliceLen, pool, shards, every)
-		},
-		Range: func(lo, hi uint64) []trace.Inst {
-			return s.RecordRange(input, budget, lo, hi)
-		},
-		Resume: func(ck *program.Checkpoint, lo, hi uint64) ([]trace.Inst, error) {
-			return s.RecordRangeFrom(input, budget, ck, lo, hi)
+		CkptSpacing:     ckptEvery,
+		Record: func(ctx context.Context, req program.Request) (program.Recording, error) {
+			req.Pool, req.Shards = pool, shards
+			return s.Record(ctx, input, budget, req)
 		},
 	}
 }

@@ -2,10 +2,13 @@ package workload
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"testing"
 
 	"branchlab/internal/core"
 	"branchlab/internal/engine"
+	"branchlab/internal/program"
 	"branchlab/internal/tage"
 	"branchlab/internal/trace"
 	"branchlab/internal/tracecache"
@@ -50,8 +53,8 @@ func TestByName(t *testing.T) {
 
 func TestDeterministicAcrossRuns(t *testing.T) {
 	s, _ := ByName("605.mcf_s")
-	a := s.Record(0, 100000)
-	b := s.Record(0, 100000)
+	a := record(t, s, 0, 100000)
+	b := record(t, s, 0, 100000)
 	if a.Len() != b.Len() {
 		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
 	}
@@ -69,9 +72,9 @@ func TestRecordShardedByteIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not found", name)
 		}
-		want := s.Record(0, 120_000)
+		want := record(t, s, 0, 120_000)
 		for _, shards := range []int{2, 5} {
-			got := s.RecordSharded(0, 120_000, pool, shards)
+			got := recordReq(t, s, 0, 120_000, program.Request{Shards: shards, Pool: pool}).Buffer()
 			if got.Len() != want.Len() {
 				t.Fatalf("%s shards=%d: length %d, want %d", name, shards, got.Len(), want.Len())
 			}
@@ -86,8 +89,8 @@ func TestRecordShardedByteIdentical(t *testing.T) {
 
 func TestInputsDiffer(t *testing.T) {
 	s, _ := ByName("605.mcf_s")
-	a := s.Record(0, 50000)
-	b := s.Record(1, 50000)
+	a := record(t, s, 0, 50000)
+	b := record(t, s, 1, 50000)
 	same := 0
 	n := a.Len()
 	if b.Len() < n {
@@ -103,19 +106,28 @@ func TestInputsDiffer(t *testing.T) {
 	}
 }
 
-func TestInputOutOfRangePanics(t *testing.T) {
-	s, _ := ByName("605.mcf_s")
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range input did not panic")
+// An input the workload does not have is a typed error naming the valid
+// range, from every entry point — never a panic.
+func TestInputOutOfRangeIsTyped(t *testing.T) {
+	s := mustSpec(t, "605.mcf_s")
+	ctx := context.Background()
+	for _, input := range []int{-1, s.NumInputs, 99} {
+		if _, err := s.Record(ctx, input, 1000, program.Request{}); !errors.Is(err, ErrInputRange) {
+			t.Errorf("Record(input %d) = %v, want ErrInputRange", input, err)
 		}
-	}()
-	s.Payload(s.NumInputs)
+		if _, err := s.Stream(ctx, input, 1000); !errors.Is(err, ErrInputRange) {
+			t.Errorf("Stream(input %d) = %v, want ErrInputRange", input, err)
+		}
+		var c *tracecache.Cache
+		if _, err := c.Record(ctx, s.Name, input, 1000, s.CacheSource(input, 1000, nil, 1, 0)); !errors.Is(err, ErrInputRange) {
+			t.Errorf("CacheSource(input %d) recording = %v, want ErrInputRange", input, err)
+		}
+	}
 }
 
 func TestBudgetRespected(t *testing.T) {
 	s, _ := ByName("641.leela_s")
-	st := s.Stream(0, 123456)
+	st := stream(t, s, 0, 123456)
 	n := trace.Count(st)
 	trace.CloseStream(st)
 	if n != 123456 {
@@ -127,7 +139,7 @@ func TestTraceShape(t *testing.T) {
 	for _, s := range append(SPECint2017Like(), LCFLike()...) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			sum := trace.Summarize(trace.FuncStream(mkNext(s, 200000)))
+			sum := trace.Summarize(trace.FuncStream(mkNext(t, s, 200000)))
 			if sum.Insts != 200000 {
 				t.Fatalf("insts = %d", sum.Insts)
 			}
@@ -148,9 +160,36 @@ func TestTraceShape(t *testing.T) {
 	}
 }
 
-func mkNext(s *Spec, budget uint64) func(*trace.Inst) bool {
-	st := s.Stream(0, budget)
+func mkNext(t testing.TB, s *Spec, budget uint64) func(*trace.Inst) bool {
+	st := stream(t, s, 0, budget)
 	return st.Next
+}
+
+// stream starts one input of s, failing the test on error.
+func stream(t testing.TB, s *Spec, input int, budget uint64) trace.Stream {
+	t.Helper()
+	st, err := s.Stream(context.Background(), input, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// recordReq records one input of s as req selects, failing the test on
+// error.
+func recordReq(t testing.TB, s *Spec, input int, budget uint64, req program.Request) program.Recording {
+	t.Helper()
+	rec, err := s.Record(context.Background(), input, budget, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// record is the whole sequential recording of one input of s.
+func record(t testing.TB, s *Spec, input int, budget uint64) *trace.Buffer {
+	t.Helper()
+	return recordReq(t, s, input, budget, program.Request{}).Buffer()
 }
 
 // TestLCFHasLargerFootprintAndLowerAccuracy checks the paper's defining
@@ -162,7 +201,7 @@ func TestLCFHasLargerFootprintAndLowerAccuracy(t *testing.T) {
 	}
 	const budget = 600000
 	measure := func(s *Spec) (float64, int) {
-		st := s.Stream(0, budget)
+		st := stream(t, s, 0, budget)
 		defer trace.CloseStream(st)
 		col := core.NewCollector(budget)
 		run := core.Run(st, tage.New(tage.Config8KB()), col)
@@ -192,7 +231,7 @@ func TestCalibrationBands(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			st := s.Stream(0, budget)
+			st := stream(t, s, 0, budget)
 			defer trace.CloseStream(st)
 			run := core.Run(st, tage.New(tage.Config8KB()))
 			if diff := run.Accuracy() - s.Paper.Accuracy; diff > tolerance || diff < -tolerance {
@@ -225,7 +264,7 @@ func TestH2PCountsNearPaper(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			s := mustSpec(t, c.name)
-			st := s.Stream(0, budget)
+			st := stream(t, s, 0, budget)
 			defer trace.CloseStream(st)
 			col := core.NewCollector(sliceLen)
 			core.Run(st, tage.New(tage.Config8KB()), col)
@@ -249,7 +288,7 @@ func TestH2PsRecurAcrossInputs(t *testing.T) {
 	const budget = 600000
 	var reports []*core.H2PReport
 	for input := 0; input < 3; input++ {
-		st := s.Stream(input, budget)
+		st := stream(t, s, input, budget)
 		col := core.NewCollector(budget / 2)
 		core.Run(st, tage.New(tage.Config8KB()), col)
 		trace.CloseStream(st)
@@ -275,7 +314,7 @@ func mustSpec(t *testing.T, name string) *Spec {
 // identical outcome — the offline trace-library workflow of §V-B.
 func TestTraceFileRoundTrip(t *testing.T) {
 	s := mustSpec(t, "602.gcc_s")
-	orig := s.Record(0, 100000)
+	orig := record(t, s, 0, 100000)
 
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -315,8 +354,11 @@ func TestStoreRestartReuseAllWorkloads(t *testing.T) {
 	replay := func(c *tracecache.Cache) map[string][]trace.Inst {
 		out := make(map[string][]trace.Inst, len(all))
 		for _, s := range all {
-			src := s.CacheSource(0, budget, nil, 1, CkptPerCacheSlice)
-			v := c.Record(s.Name, 0, budget, src)
+			src := s.CacheSource(0, budget, nil, 1, tracecache.CkptPerSlice)
+			v, err := c.Record(context.Background(), s.Name, 0, budget, src)
+			if err != nil {
+				t.Fatal(err)
+			}
 			insts := make([]trace.Inst, 0, v.Len())
 			var inst trace.Inst
 			st := v.Stream()
