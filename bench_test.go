@@ -143,11 +143,13 @@ func BenchmarkRunAll(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreRun isolates the core.Run replay loop: the no-observer
-// fast path (pure MPKI measurement) against the fan-out path with a
-// collector attached, plus the pre-PR3 per-instruction reference loop
-// — the block-vs-per-instruction contrast recorded in EXPERIMENTS.md.
-// All replay the same recorded trace through TAGE-SC-L 8KB.
+// BenchmarkCoreRun isolates core.Run: the predictor loop, through
+// TAGE-SC-L's block path (bp.BlockRunner), then the replay of each
+// block's map — counting only (pure MPKI measurement), or fanned out
+// to a collector. The pre-block
+// per-instruction reference loop is the contrast recorded in
+// EXPERIMENTS.md. All replay the same recorded trace through
+// TAGE-SC-L 8KB.
 func BenchmarkCoreRun(b *testing.B) {
 	spec, _ := branchlab.Workload("605.mcf_s")
 	tr := branchlab.RecordTrace(spec, 0, 500_000)

@@ -39,23 +39,31 @@ type BranchObserver interface {
 	ObserveBranch(ip, target uint64, kind trace.Kind, taken bool)
 }
 
+// TargetTrainer is implemented by predictors trained with the branch
+// target as well as the direction (TAGE-SC-L's IMLI component keys on
+// backward edges). Drivers that know the target call TrainWithTarget in
+// place of Train; target 0 means none, and must train as Train does.
+type TargetTrainer interface {
+	TrainWithTarget(ip, target uint64, taken, pred bool)
+}
+
 // BlockRunner is implemented by predictors that can process a whole
 // replay block internally — predicting, training and observing every
-// instruction in blk with the per-branch dispatch inlined — and return
-// the conditional-branch and misprediction counts. The measurement
-// loop's no-observer fast path hands blocks straight to it, reducing
-// the driver/predictor boundary from several interface calls per branch
-// to one per block.
+// instruction in blk with the per-branch dispatch inlined — appending
+// one bit per conditional branch to m, set where the prediction missed.
+// The one predictor loop (core.PredictBlock) hands blocks straight to
+// it, reducing the driver/predictor boundary from several interface
+// calls per branch to one per block.
 //
-// RunBlock must evolve predictor state exactly as the equivalent
-// per-instruction sequence of Predict, Train/TrainWithTarget and
-// ObserveBranch calls would: implementations are interchangeable with
-// the scalar interface at any block boundary, and the measurement loop
-// relies on that equivalence for byte-identical artifacts. blk follows
-// the trace.BlockStream aliasing contract — it must be treated as
-// read-only and not retained past the call.
+// RunBlock must evolve predictor state, and append bits, exactly as the
+// equivalent per-instruction sequence of Predict, Train/TrainWithTarget
+// and ObserveBranch calls would: implementations are interchangeable
+// with the scalar interface at any block boundary, and the measurement
+// loop relies on that equivalence for byte-identical artifacts. blk
+// follows the trace.BlockStream aliasing contract — it must be treated
+// as read-only and not retained past the call.
 type BlockRunner interface {
-	RunBlock(blk []trace.Inst) (condExecs, mispreds uint64)
+	RunBlock(blk []trace.Inst, m *MispredictMap)
 }
 
 // Observe forwards a non-conditional branch to p if it implements

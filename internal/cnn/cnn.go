@@ -467,6 +467,11 @@ func (m *Model) Accuracy(samples []Sample) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
+	return float64(m.Correct(samples)) / float64(len(samples))
+}
+
+// Correct returns how many of samples the model predicts correctly.
+func (m *Model) Correct(samples []Sample) int {
 	correct := 0
 	feat := make([]float32, m.Cfg.Segments*m.Cfg.Filters)
 	for _, s := range samples {
@@ -474,7 +479,7 @@ func (m *Model) Accuracy(samples []Sample) float64 {
 			correct++
 		}
 	}
-	return float64(correct) / float64(len(samples))
+	return correct
 }
 
 // Quantized reports whether the model carries 2-bit inference weights.

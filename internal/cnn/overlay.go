@@ -66,16 +66,24 @@ func (o *Overlay) Predict(ip uint64) bool {
 	return o.lastBase
 }
 
-// Train implements bp.Predictor. The base predictor is always trained
-// with its own prediction so its internal state matches a solo
-// deployment; helpers are frozen (offline-trained).
-func (o *Overlay) Train(ip uint64, taken, pred bool) {
+// Train implements bp.Predictor: TrainWithTarget with no target.
+func (o *Overlay) Train(ip uint64, taken, pred bool) { o.TrainWithTarget(ip, 0, taken, pred) }
+
+// TrainWithTarget implements bp.TargetTrainer. The base predictor is
+// always trained with its own prediction, and with the target when it
+// takes one, so its internal state matches a solo deployment; helpers
+// are frozen (offline-trained).
+func (o *Overlay) TrainWithTarget(ip, target uint64, taken, pred bool) {
 	basePred := o.lastBase
 	if !o.haveLast || o.lastIP != ip {
 		basePred = o.Base.Predict(ip)
 	}
 	o.haveLast = false
-	o.Base.Train(ip, taken, basePred)
+	if tt, ok := o.Base.(bp.TargetTrainer); ok {
+		tt.TrainWithTarget(ip, target, taken, basePred)
+	} else {
+		o.Base.Train(ip, taken, basePred)
+	}
 	o.push(Encode(o.cfg, ip, taken))
 }
 

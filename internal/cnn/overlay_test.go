@@ -7,6 +7,9 @@ import (
 
 	"branchlab/internal/bp"
 	"branchlab/internal/core"
+	"branchlab/internal/tage"
+	"branchlab/internal/trace"
+	"branchlab/internal/xrand"
 )
 
 // A helper saved with a smaller bucket count used to be accepted by
@@ -76,5 +79,49 @@ func TestOverlayPredictAllocFree(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("Overlay.Predict allocates %v times per helper prediction", allocs)
+	}
+}
+
+// loopTrace is a hand-built nest: an inner loop closed by a
+// backward-taken conditional edge with an irregular trip count, and a
+// body branch whose direction depends on the iteration number — the
+// pattern TAGE-SC-L's IMLI component learns from the loop edge's
+// target.
+func loopTrace(outer int) *trace.Buffer {
+	r := xrand.New(11)
+	b := trace.NewBuffer(0)
+	noReg := [2]uint8{trace.NoReg, trace.NoReg}
+	cond := func(ip, target uint64, taken bool) {
+		b.Append(trace.Inst{IP: ip, Kind: trace.KindCondBr, Taken: taken, Target: target,
+			DstReg: trace.NoReg, SrcRegs: noReg})
+	}
+	for o := 0; o < outer; o++ {
+		trips := 6 + r.Intn(6)
+		for it := 0; it < trips; it++ {
+			cond(0x1010, 0x1030, it%3 == o%2)
+			cond(0x1020, 0x1028, r.Bool(0.5))
+			cond(0x1040, 0x1000, it < trips-1) // the loop's backward edge
+		}
+		b.Append(trace.Inst{IP: 0x1050, Kind: trace.KindJump, Taken: true, Target: 0x0f00,
+			DstReg: trace.NoReg, SrcRegs: noReg})
+	}
+	return b
+}
+
+// An overlay with no helpers must be its base: the same misprediction
+// map as a solo TAGE-SC-L, which sees every conditional branch's target
+// — so the overlay must pass the targets on.
+func TestOverlayWithoutHelpersMatchesBase(t *testing.T) {
+	tr := loopTrace(3000)
+	want := core.RunMispredicts(tr.BlockStream(0), tage.New(tage.Config8KB()))
+	got := core.RunMispredicts(tr.BlockStream(0), NewOverlay(DefaultConfig(), tage.New(tage.Config8KB())))
+	if got.Len() != want.Len() {
+		t.Fatalf("overlay map covers %d branches, base %d", got.Len(), want.Len())
+	}
+	for k := uint64(0); k < want.Len(); k++ {
+		if got.Mispredicted(k) != want.Mispredicted(k) {
+			t.Fatalf("conditional branch %d: overlay mispredicted=%v, base %v (overlay %d misses, base %d)",
+				k, got.Mispredicted(k), want.Mispredicted(k), got.Count(), want.Count())
+		}
 	}
 }

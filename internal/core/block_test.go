@@ -1,12 +1,17 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"branchlab/internal/bp"
 	"branchlab/internal/engine"
+	"branchlab/internal/program"
 	"branchlab/internal/trace"
+	"branchlab/internal/workload"
 	"branchlab/internal/xrand"
+	"branchlab/internal/zoo"
 )
 
 // histPredictor is a little gshare: stateful and history-sensitive, so
@@ -84,9 +89,7 @@ func randomTrace(n int, seed uint64) *trace.Buffer {
 // runPerInst is the pre-block reference loop: one Stream.Next per
 // instruction, semantics identical to RunBlocks by construction.
 func runPerInst(s trace.Stream, p bp.Predictor, obs ...Observer) RunStats {
-	tt, _ := p.(interface {
-		TrainWithTarget(ip, target uint64, taken, pred bool)
-	})
+	tt, _ := p.(bp.TargetTrainer)
 	bo, _ := p.(bp.BranchObserver)
 	var st RunStats
 	var inst trace.Inst
@@ -170,8 +173,8 @@ func TestRunBlocksEquivalentToPerInstruction(t *testing.T) {
 		}
 		assertCollectorsEqual(t, col, wantCol, "block run")
 	}
-	// Run over the buffer's native block serving, and the no-observer
-	// fast path, agree too.
+	// Run over the buffer's native block serving, with no observers to
+	// replay to, agrees too.
 	pred := &histPredictor{}
 	if got := Run(tr.Stream(), pred); got != want {
 		t.Fatalf("native fast path: stats %+v != %+v", got, want)
@@ -187,12 +190,68 @@ func TestObserveBlocksEquivalent(t *testing.T) {
 	want := Observe(tr.Stream(), wantCol)
 	for _, n := range []int{1, 7, 1024} {
 		col := NewCollector(1_000)
-		got := ObserveBlocks(trace.Blocks(tr.Stream(), n), col)
+		got := ObserveMap(trace.Blocks(tr.Stream(), n), nil, col)
 		if got != want {
 			t.Fatalf("block=%d: stats %+v != %+v", n, got, want)
 		}
 		assertCollectorsEqual(t, col, wantCol, "observe blocks")
 	}
+}
+
+// Replaying observers over a recorded misprediction map must show them
+// exactly what the per-instruction reference run of the same predictor
+// does: for every zoo predictor over all 15 workloads, the replayed
+// Collector, its H2P report and the run totals deep-equal the
+// reference's, at a block length that splits the map mid-word.
+func TestObserveMapMatchesPerInstruction(t *testing.T) {
+	const budget, sliceLen = 30_000, 10_000
+	crit := PaperCriteria().Scaled(sliceLen)
+	specs := append(workload.SPECint2017Like(), workload.LCFLike()...)
+	if len(specs) != 15 {
+		t.Fatalf("%d workloads, want 15", len(specs))
+	}
+	for _, s := range specs {
+		rec, err := s.Record(context.Background(), 0, budget, program.Request{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := rec.Buffer()
+		for _, name := range zoo.Names() {
+			newPred := func() bp.Predictor {
+				p, err := zoo.New(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			want := NewCollector(sliceLen)
+			wantSt := runPerInst(tr.Stream(), newPred(), want)
+			m := RunMispredicts(tr.BlockStream(0), newPred())
+			got := NewCollector(sliceLen)
+			gotSt := ObserveMap(trace.Blocks(tr.Stream(), 1000), m, got)
+			if gotSt != wantSt || m.Len() != wantSt.CondExecs || m.Count() != wantSt.Mispreds {
+				t.Fatalf("%s/%s: replay stats %+v (map %d/%d) != reference %+v",
+					s.Name, name, gotSt, m.Count(), m.Len(), wantSt)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s/%s: replayed collector differs from the reference", s.Name, name)
+			}
+			if !reflect.DeepEqual(crit.Screen(got), crit.Screen(want)) {
+				t.Fatalf("%s/%s: replayed H2P report differs from the reference", s.Name, name)
+			}
+		}
+	}
+}
+
+// A map of another trace is a caller bug that would give wrong numbers.
+func TestObserveMapRejectsForeignMap(t *testing.T) {
+	m := RunMispredicts(randomTrace(2_000, 3).BlockStream(0), &histPredictor{})
+	defer func() {
+		if recover() == nil {
+			t.Error("replaying a shorter trace's map did not panic")
+		}
+	}()
+	ObserveMap(randomTrace(1_000, 3).BlockStream(0), m, NewCollector(100))
 }
 
 // Splitting a trace at slice boundaries, observing each shard with

@@ -3,9 +3,16 @@
 // for systematically hard-to-predict (H2P) branches with the paper's
 // criteria, ranks heavy hitters, and aggregates H2P appearance across
 // application inputs — the machinery behind Tables I and II and Figs 2-4.
+//
+// Prediction is data: PredictBlock, the one loop that drives a
+// predictor, turns trace blocks into a bp.MispredictMap, and the one
+// replay loop shows observers each branch with the prediction the map
+// implies (ObserveMap). Run is both, block by block; Observe and
+// ObserveFrom are the replay with no map.
 package core
 
 import (
+	"fmt"
 	"sort"
 
 	"branchlab/internal/bp"
@@ -266,21 +273,12 @@ func (r RunStats) MPKI() float64 {
 	return 1000 * float64(r.Mispreds) / float64(r.Insts)
 }
 
-// targetTrainer is the optional predictor extension trained with the
-// branch target as well as the direction (TAGE-SC-L's IMLI component
-// keys on it). Run resolves the assertion once per run, not once per
-// branch: this is the simulator's innermost loop.
-type targetTrainer interface {
-	TrainWithTarget(ip, target uint64, taken, pred bool)
-}
-
 // Run drives the stream through the predictor (the CBP-style measurement
 // loop: predict at fetch, train at retire, observe all control flow) and
 // fans events out to the observers. The loop iterates the trace in
 // blocks (zero-copy when the stream serves them natively, e.g. any
 // Buffer replay), so the per-instruction cost is the predictor and the
-// observers, not stream dispatch. Runs with no observers — the
-// pure-MPKI sweeps — take a specialized loop with no fan-out work.
+// observers, not stream dispatch.
 func Run(s trace.Stream, p bp.Predictor, obs ...Observer) RunStats {
 	return RunBlocks(trace.AsBlocks(s, trace.DefaultBlockLen), p, obs...)
 }
@@ -288,43 +286,21 @@ func Run(s trace.Stream, p bp.Predictor, obs ...Observer) RunStats {
 // RunBlocks is Run over an explicit block stream. Callers that already
 // hold a BlockStream (or need to control the block size, e.g. the
 // equivalence tests) use it directly; Run is RunBlocks over AsBlocks.
+// Each block is predicted into a block-sized map, then replayed.
 func RunBlocks(bs trace.BlockStream, p bp.Predictor, obs ...Observer) RunStats {
-	tt, _ := p.(targetTrainer)
-	bo, _ := p.(bp.BranchObserver)
-	if len(obs) == 0 {
-		return runNoObservers(bs, p, tt, bo)
-	}
 	var st RunStats
-	var i uint64
+	var m bp.MispredictMap
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
-		for j := range blk {
-			inst := &blk[j]
-			for _, o := range obs {
-				o.Inst(i, inst)
-			}
-			if inst.Kind == trace.KindCondBr {
-				st.CondExecs++
-				pred := p.Predict(inst.IP)
-				if pred != inst.Taken {
-					st.Mispreds++
-				}
-				if tt != nil {
-					tt.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pred)
-				} else {
-					p.Train(inst.IP, inst.Taken, pred)
-				}
-				for _, o := range obs {
-					o.Branch(i, inst, pred)
-				}
-			} else if inst.Kind.IsBranch() {
-				if bo != nil {
-					bo.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
-				}
-			}
-			i++
+		m.Reset()
+		PredictBlock(p, blk, &m)
+		if len(obs) == 0 { // nothing to replay to: the map holds the counts
+			st.Insts += uint64(len(blk))
+			st.CondExecs += m.Len()
+			st.Mispreds += m.Count()
+			continue
 		}
+		st.replay(blk, st.Insts, &m, 0, obs)
 	}
-	st.Insts = i
 	return st
 }
 
@@ -332,10 +308,9 @@ func RunBlocks(bs trace.BlockStream, p bp.Predictor, obs ...Observer) RunStats {
 // The analysis substrates (dependency graphs, recurrence tracking, BBV
 // collection, register-value tracking, CNN history collection) consume
 // only trace-visible signals — their Branch callbacks ignore the
-// prediction — so analysis passes that used to drag a predictor through
-// the trace for nothing skip prediction work entirely. Branch callbacks
-// receive the resolved direction as the prediction (never counted as a
-// misprediction).
+// prediction — so analysis passes skip prediction work entirely. Branch
+// callbacks receive the resolved direction as the prediction (never
+// counted as a misprediction).
 func Observe(s trace.Stream, obs ...Observer) RunStats {
 	return ObserveFrom(s, 0, obs...)
 }
@@ -348,77 +323,96 @@ func Observe(s trace.Stream, obs ...Observer) RunStats {
 // per-shard results Merge back exactly. The returned stats count only
 // this stream's instructions.
 func ObserveFrom(s trace.Stream, base uint64, obs ...Observer) RunStats {
-	return observeBlocks(trace.AsBlocks(s, trace.DefaultBlockLen), base, obs...)
+	return observe(trace.AsBlocks(s, trace.DefaultBlockLen), base, nil, obs)
 }
 
-// ObserveBlocks is Observe over an explicit block stream.
-func ObserveBlocks(bs trace.BlockStream, obs ...Observer) RunStats {
-	return observeBlocks(bs, 0, obs...)
+// ObserveMap replays a whole trace through observers under its
+// misprediction map m (RunMispredicts): conditional branch k is
+// reported with prediction inst.Taken != m.Mispredicted(k), exactly what
+// Run with that predictor passes, without running it again. A nil m is
+// Observe; a map of another trace panics.
+func ObserveMap(bs trace.BlockStream, m *bp.MispredictMap, obs ...Observer) RunStats {
+	return observe(bs, 0, m, obs)
 }
 
-func observeBlocks(bs trace.BlockStream, base uint64, obs ...Observer) RunStats {
+func observe(bs trace.BlockStream, base uint64, m *bp.MispredictMap, obs []Observer) RunStats {
 	var st RunStats
-	i := base
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
-		for j := range blk {
-			inst := &blk[j]
+		st.replay(blk, base+st.Insts, m, st.CondExecs, obs)
+	}
+	if m != nil && st.CondExecs != m.Len() {
+		panic(fmt.Sprintf("core: misprediction map covers %d conditional branches, trace has %d", m.Len(), st.CondExecs))
+	}
+	return st
+}
+
+// replay is the one observer-replay loop. It reports the instructions
+// of blk to the observers, numbered from i, and each conditional branch
+// with its prediction: the resolved direction, flipped where m (nil:
+// never) marks a misprediction, bit k covering blk's first conditional
+// branch. It adds blk's counts to st.
+func (st *RunStats) replay(blk []trace.Inst, i uint64, m *bp.MispredictMap, k uint64, obs []Observer) {
+	for j := range blk {
+		inst := &blk[j]
+		for _, o := range obs {
+			o.Inst(i, inst)
+		}
+		if inst.Kind == trace.KindCondBr {
+			pred := inst.Taken
+			if m != nil && m.Mispredicted(k) {
+				pred = !pred
+				st.Mispreds++
+			}
+			k++
+			st.CondExecs++
 			for _, o := range obs {
-				o.Inst(i, inst)
+				o.Branch(i, inst, pred)
 			}
-			if inst.Kind == trace.KindCondBr {
-				st.CondExecs++
-				for _, o := range obs {
-					o.Branch(i, inst, inst.Taken)
-				}
-			}
-			i++
 		}
+		i++
 	}
-	st.Insts = i - base
-	return st
+	st.Insts += uint64(len(blk))
 }
 
-// runNoObservers is Run's fast path for pure-MPKI measurement: identical
-// prediction/training semantics, no observer fan-out in the loop body.
-// Predictors that implement bp.BlockRunner (TAGE-SC-L) consume whole
-// blocks in one call — the innermost loop then lives inside the
-// predictor with its dispatch inlined, and the driver/predictor boundary
-// costs one interface call per block instead of several per branch.
-func runNoObservers(bs trace.BlockStream, p bp.Predictor, tt targetTrainer, bo bp.BranchObserver) RunStats {
-	var st RunStats
-	var i uint64
+// PredictBlock is the one predictor loop: it drives blk through p —
+// predict each conditional branch, train it with the resolved direction
+// (and target when p is a bp.TargetTrainer), observe every other
+// control-flow instruction — and appends one bit per conditional branch
+// to m. A bp.BlockRunner consumes the whole block in one call.
+// Successive calls over the blocks of a trace evolve p exactly as one
+// pass would.
+func PredictBlock(p bp.Predictor, blk []trace.Inst, m *bp.MispredictMap) {
 	if br, ok := p.(bp.BlockRunner); ok {
-		for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
-			cond, miss := br.RunBlock(blk)
-			st.CondExecs += cond
-			st.Mispreds += miss
-			i += uint64(len(blk))
-		}
-		st.Insts = i
-		return st
+		br.RunBlock(blk, m)
+		return
 	}
-	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
-		for j := range blk {
-			inst := &blk[j]
-			if inst.Kind == trace.KindCondBr {
-				st.CondExecs++
-				pred := p.Predict(inst.IP)
-				if pred != inst.Taken {
-					st.Mispreds++
-				}
-				if tt != nil {
-					tt.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pred)
-				} else {
-					p.Train(inst.IP, inst.Taken, pred)
-				}
-			} else if inst.Kind.IsBranch() {
-				if bo != nil {
-					bo.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
-				}
+	tt, _ := p.(bp.TargetTrainer)
+	bo, _ := p.(bp.BranchObserver)
+	for j := range blk {
+		inst := &blk[j]
+		if inst.Kind == trace.KindCondBr {
+			pred := p.Predict(inst.IP)
+			m.Append(pred != inst.Taken)
+			if tt != nil {
+				tt.TrainWithTarget(inst.IP, inst.Target, inst.Taken, pred)
+			} else {
+				p.Train(inst.IP, inst.Taken, pred)
 			}
+		} else if inst.Kind.IsBranch() && bo != nil {
+			bo.ObserveBranch(inst.IP, inst.Target, inst.Kind, inst.Taken)
 		}
-		i += uint64(len(blk))
 	}
-	st.Insts = i
-	return st
+}
+
+// RunMispredicts runs the predictor over a whole trace and returns its
+// misprediction map: stage B of the layered pipeline model, and the
+// input ObserveMap replays observers from. The map's Len and Count
+// equal the CondExecs and Mispreds RunBlocks reports for the same
+// stream and a fresh predictor.
+func RunMispredicts(bs trace.BlockStream, p bp.Predictor) *bp.MispredictMap {
+	m := &bp.MispredictMap{}
+	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
+		PredictBlock(p, blk, m)
+	}
+	return m
 }

@@ -9,6 +9,7 @@ import (
 	"branchlab/internal/report"
 	"branchlab/internal/stats"
 	"branchlab/internal/tage"
+	"branchlab/internal/trace"
 	"branchlab/internal/workload"
 )
 
@@ -33,11 +34,12 @@ func Alloc(cfg Config) *report.Artifact {
 	results := engine.MapSlice(cfg.Pool(), workload.SPECint2017Like(),
 		func(s *workload.Spec, _ int) allocResult {
 			tr := cfg.RecordTrace(s, 0)
+			rep, col := screenBranches(cfg, s, 0, tr)
+			set := rep.Set()
+			// Allocation telemetry is predictor state, not in the map.
 			pred := tage.New(tage.Config8KB())
 			telemetry := pred.EnableAllocTracking()
-			col := core.NewCollector(cfg.SliceLen)
-			core.Run(tr.Stream(), pred, col)
-			set := core.PaperCriteria().Scaled(cfg.SliceLen).Screen(col).Set()
+			runMispredicts(tr.BlockStream(0), pred)
 			var res allocResult
 			for _, b := range sortedTotals(col) {
 				if b.Execs < 32 {
@@ -135,13 +137,18 @@ func CNN(cfg Config) *report.Artifact {
 				return nil
 			}
 
-			overlay := cnn.NewOverlay(mcfg, tage.New(tage.Config8KB()))
-			if err := overlay.Attach(target, model); err != nil {
-				engine.Abort(err)
+			// A cnn.Overlay trains its base as a solo deployment, so it
+			// differs from the baseline only at the target: the helper
+			// predicts the eval trace's history samples, the base (the
+			// baseline's map) the executions before its history fills.
+			hc := cnn.NewHistoryCollector(mcfg, target)
+			early := &earlyMisses{target: target, n: uint64(mcfg.HistLen)}
+			core.ObserveMap(evalTrace.BlockStream(0),
+				mispredicts(cfg, traceID(cfg, spec, evalInput), evalTrace, tageRegime(8)), hc, early)
+			helperStats := core.BranchStats{
+				Execs:    baseStats.Execs,
+				Mispreds: early.misses + uint64(len(hc.Samples)-model.Correct(hc.Samples)),
 			}
-			colHelper := core.NewCollector(cfg.SliceLen)
-			core.Run(evalTrace.Stream(), overlay, colHelper)
-			helperStats := colHelper.Totals()[target]
 
 			baseAcc := baseStats.Accuracy()
 			helperAcc := helperStats.Accuracy()
@@ -166,4 +173,18 @@ func CNN(cfg Config) *report.Artifact {
 		"%d/%d helpers beat the online baseline on an unseen input; weights quantized to 2-bit magnitudes for deployment",
 		improved, total))
 	return a
+}
+
+// earlyMisses counts target's mispredictions among the first n
+// conditional branches: those a helper with an n-branch history leaves
+// to its overlay's base.
+type earlyMisses struct{ target, n, k, misses uint64 }
+
+func (e *earlyMisses) Inst(uint64, *trace.Inst) {}
+
+func (e *earlyMisses) Branch(_ uint64, inst *trace.Inst, pred bool) {
+	if e.k < e.n && inst.IP == e.target && pred != inst.Taken {
+		e.misses++
+	}
+	e.k++
 }

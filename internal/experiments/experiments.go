@@ -13,6 +13,7 @@ import (
 	"sort"
 	"time"
 
+	"branchlab/internal/bp"
 	"branchlab/internal/core"
 	"branchlab/internal/engine"
 	"branchlab/internal/pipeline"
@@ -325,15 +326,6 @@ func sortedTotals(col *core.Collector) []branchTotal {
 	return out
 }
 
-// screenH2Ps runs TAGE-SC-L 8KB over a trace and returns the screened
-// H2P report plus the collector.
-func screenH2Ps(tr trace.Replayable, sliceLen uint64) (*core.H2PReport, *core.Collector) {
-	col := core.NewCollector(sliceLen)
-	core.Run(tr.Stream(), tage.New(tage.Config8KB()), col)
-	rep := core.PaperCriteria().Scaled(sliceLen).Screen(col)
-	return rep, col
-}
-
 // screened pairs one screening pass's outputs for memoization.
 type screened struct {
 	rep *core.H2PReport
@@ -342,19 +334,27 @@ type screened struct {
 
 // screenBranches screens one workload input under the baseline
 // predictor, memoized in the shared cache: ten drivers screen the same
-// input-0 traces under identical criteria, so one TAGE run per
-// (workload, input) serves them all. tr must be the (s, input) trace at
-// the configured budget — callers pass the buffer they already hold so
-// the uncached path records exactly as often as before. The returned
-// report and collector are shared across drivers and must be treated as
-// read-only (all their methods are).
+// traces under identical criteria. The Collector replays the baseline's
+// stage-B map (core.ObserveMap), the trace's one TAGE-SC-L 8KB pass.
+// tr must be the (s, input) trace at the configured budget — callers
+// pass the buffer they already hold so the uncached path records
+// exactly as often as before. The returned report and collector are
+// shared across drivers and must be treated as read-only (all their
+// methods are).
 func screenBranches(cfg Config, s *workload.Spec, input int, tr trace.Replayable) (*core.H2PReport, *core.Collector) {
-	key := fmt.Sprintf("h2p/%s/%d/%d/%d", s.Name, input, cfg.Budget, cfg.SliceLen)
-	v := cfg.Cache.Memo(key, func() any {
-		rep, col := screenH2Ps(tr, cfg.SliceLen)
-		return screened{rep, col}
+	id := traceID(cfg, s, input)
+	v := cfg.Cache.Memo(fmt.Sprintf("h2p/%s/%d", id, cfg.SliceLen), func() any {
+		col := core.NewCollector(cfg.SliceLen)
+		core.ObserveMap(tr.BlockStream(0), mispredicts(cfg, id, tr, tageRegime(8)), col)
+		return screened{core.PaperCriteria().Scaled(cfg.SliceLen).Screen(col), col}
 	}).(screened)
 	return v.rep, v.col
+}
+
+// traceID names the (s, input) trace at the configured budget in memo
+// keys.
+func traceID(cfg Config, s *workload.Spec, input int) string {
+	return fmt.Sprintf("%s/%d/%d", s.Name, input, cfg.Budget)
 }
 
 // regime is one prediction regime of the IPC studies: TAGE-SC-L at a
@@ -382,7 +382,7 @@ var perfectRegime = regime{sig: "perfect"}
 // misprediction map per (trace, predictor), and the oracle-masked map
 // per (trace, regime). Only the timing recurrence runs per cell.
 func ipcCell(cfg Config, s *workload.Spec, tr trace.Replayable, scale int, r regime) pipeline.Result {
-	id := fmt.Sprintf("%s/0/%d", s.Name, cfg.Budget)
+	id := traceID(cfg, s, 0)
 	key := fmt.Sprintf("ipc/%s/%d/%s", id, scale, r.sig)
 	return cfg.Cache.Memo(key, func() any {
 		ann := cfg.Cache.Memo("pipe-annotate/"+id, func() any {
@@ -392,24 +392,28 @@ func ipcCell(cfg Config, s *workload.Spec, tr trace.Replayable, scale int, r reg
 	}).(pipeline.Result)
 }
 
-// mispredicts returns regime r's misprediction map over tr (nil for
-// perfect prediction), memoized per (trace, predictor) and, for the
-// oracle regimes, per (trace, regime) on top: the oracles mask the
-// plain predictor's map (pipeline.Oracle).
-func mispredicts(cfg Config, id string, tr trace.Replayable, r regime) *core.MispredictMap {
+// mispredicts returns regime r's misprediction map over the trace tr
+// named id (nil for perfect prediction), memoized per (trace, predictor)
+// and, for the oracle regimes, per (trace, regime) on top: the oracles
+// mask the plain predictor's map (pipeline.Oracle).
+func mispredicts(cfg Config, id string, tr trace.Replayable, r regime) *bp.MispredictMap {
 	if r.kb == 0 {
 		return nil
 	}
 	miss := cfg.Cache.Memo("pipe-predict/"+id+"/"+tageRegime(r.kb).sig, func() any {
-		return core.RunMispredicts(tr.BlockStream(0), tage.New(tage.NewConfig(r.kb)))
-	}).(*core.MispredictMap)
+		return runMispredicts(tr.BlockStream(0), tage.New(tage.NewConfig(r.kb)))
+	}).(*bp.MispredictMap)
 	if r.ips == nil && r.minExecs == 0 {
 		return miss
 	}
 	return cfg.Cache.Memo("pipe-predict/"+id+"/"+r.sig, func() any {
 		return pipeline.Oracle(tr, miss, pipeline.Options{PerfectIPs: r.ips, MinExecsPerfect: r.minExecs})
-	}).(*core.MispredictMap)
+	}).(*bp.MispredictMap)
 }
+
+// runMispredicts is every predictor pass the drivers make; a test
+// wraps it to count them.
+var runMispredicts = core.RunMispredicts
 
 // geomean of a slice (positives assumed).
 func geomean(xs []float64) float64 {

@@ -41,7 +41,7 @@ func everyThirdCondIP(tr *trace.Buffer) map[uint64]bool {
 // layered times tr under opt through the separate stages, the way the
 // experiment drivers compose them.
 func layered(cfg Config, tr *trace.Buffer, a *Annotation, opt Options) Result {
-	var miss *core.MispredictMap
+	var miss *bp.MispredictMap
 	if !opt.PerfectBP && opt.Predictor != nil {
 		miss = Oracle(tr, core.RunMispredicts(tr.BlockStream(0), opt.Predictor), opt)
 	}
@@ -203,7 +203,7 @@ func TestInvalidConfigRejected(t *testing.T) {
 // requests never decrease, and fetch's latest claim is less than a
 // window ahead of its next request (the ring it replaced never
 // aliases). The stepped run must also return Time's Result.
-func stepRequests(t *testing.T, cfg Config, tr *trace.Buffer, a *Annotation, miss *core.MispredictMap) {
+func stepRequests(t *testing.T, cfg Config, tr *trace.Buffer, a *Annotation, miss *bp.MispredictMap) {
 	t.Helper()
 	tm := newTimer(cfg, a.iLat, a.dLat)
 	window := widthWindow(cfg)

@@ -1,7 +1,7 @@
 package pipeline
 
 import (
-	"branchlab/internal/core"
+	"branchlab/internal/bp"
 	"branchlab/internal/trace"
 )
 
@@ -15,7 +15,7 @@ import (
 // predictor's trajectory, and so every unmasked bit, is the plain run's.
 // The "Perfect H2Ps" and ">N executions" regimes therefore reuse the
 // plain predictor's map rather than re-running the predictor.
-func Oracle(tr trace.Replayable, miss *core.MispredictMap, opt Options) *core.MispredictMap {
+func Oracle(tr trace.Replayable, miss *bp.MispredictMap, opt Options) *bp.MispredictMap {
 	if opt.PerfectBP || miss == nil {
 		return nil
 	}
@@ -23,7 +23,7 @@ func Oracle(tr trace.Replayable, miss *core.MispredictMap, opt Options) *core.Mi
 	if o == nil {
 		return miss
 	}
-	out := &core.MispredictMap{}
+	out := &bp.MispredictMap{}
 	bs := tr.BlockStream(0)
 	for blk := bs.NextBlock(); len(blk) > 0; blk = bs.NextBlock() {
 		o.block(blk, miss, out)
@@ -54,7 +54,7 @@ func newOracle(opt Options) *oracle {
 
 // block appends to out the masked bit of every conditional branch in
 // blk, reading the predictor's bits from in.
-func (o *oracle) block(blk []trace.Inst, in, out *core.MispredictMap) {
+func (o *oracle) block(blk []trace.Inst, in, out *bp.MispredictMap) {
 	for j := range blk {
 		inst := &blk[j]
 		if inst.Kind != trace.KindCondBr {

@@ -228,13 +228,13 @@ func (c *Core) RunBlocks(bs trace.BlockStream, opt Options) Result {
 	if opt.PerfectBP {
 		p = nil
 	}
-	var raw, miss *core.MispredictMap
+	var raw, miss *bp.MispredictMap
 	var o *oracle
 	if p != nil {
-		raw = &core.MispredictMap{}
+		raw = &bp.MispredictMap{}
 		miss = raw
 		if o = newOracle(opt); o != nil {
-			miss = &core.MispredictMap{}
+			miss = &bp.MispredictMap{}
 		}
 	}
 	var rec []uint8
@@ -245,7 +245,7 @@ func (c *Core) RunBlocks(bs trace.BlockStream, opt Options) Result {
 		rec = rec[:len(blk)]
 		c.ann.block(blk, rec)
 		if raw != nil {
-			raw.PredictBlock(p, blk)
+			core.PredictBlock(p, blk, raw)
 			if o != nil {
 				o.block(blk, raw, miss)
 			}

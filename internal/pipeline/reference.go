@@ -59,10 +59,10 @@ func Reference(cfg Config, s trace.Stream, opt Options) Result {
 
 	// Resolve the predictor's optional interfaces once, outside the
 	// per-instruction loop (same hoist as core.Run).
-	var predTT targetTrainer
+	var predTT bp.TargetTrainer
 	var predBO bp.BranchObserver
 	if opt.Predictor != nil {
-		predTT, _ = opt.Predictor.(targetTrainer)
+		predTT, _ = opt.Predictor.(bp.TargetTrainer)
 		predBO, _ = opt.Predictor.(bp.BranchObserver)
 	}
 	train := func(ip, target uint64, taken, pred bool) {
@@ -240,12 +240,6 @@ func Reference(cfg Config, s trace.Stream, opt Options) Result {
 		res.L1DMissPKI = 1000 * float64(hier.L1D.Stats().Misses) / float64(res.Insts)
 	}
 	return res
-}
-
-// targetTrainer mirrors core's optional target-aware training interface;
-// Reference resolves it once per run rather than per branch.
-type targetTrainer interface {
-	TrainWithTarget(ip, target uint64, taken, pred bool)
 }
 
 // refFetchFloor bounds fetch from below so that fetch cannot fall

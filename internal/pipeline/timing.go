@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
-	"branchlab/internal/core"
+	"branchlab/internal/bp"
 	"branchlab/internal/trace"
 )
 
@@ -15,7 +15,7 @@ import (
 // no cache, BTB or predictor work, so a scale sweep annotates and
 // predicts once and calls Time per scale. Time panics if a or miss was
 // made for a different trace or machine.
-func Time(cfg Config, tr trace.Replayable, a *Annotation, miss *core.MispredictMap) Result {
+func Time(cfg Config, tr trace.Replayable, a *Annotation, miss *bp.MispredictMap) Result {
 	a.check(cfg, tr.Len())
 	t := newTimer(cfg, a.iLat, a.dLat)
 	bs := tr.BlockStream(0)
@@ -104,7 +104,7 @@ func newTimer(cfg Config, iLat, dLat [maxDepths]uint64) *timer {
 // block times blk given its annotation records rec and the run's
 // misprediction map (indexed by the run-wide conditional branch count).
 // The hot scalars live in locals for the loop and are written back.
-func (t *timer) block(blk []trace.Inst, rec []uint8, miss *core.MispredictMap) {
+func (t *timer) block(blk []trace.Inst, rec []uint8, miss *bp.MispredictMap) {
 	cfg := &t.cfg
 	rec = rec[:len(blk)]
 	fetchReady, lastRetire, lastCycle := t.fetchReady, t.lastRetire, t.lastCycle

@@ -166,7 +166,8 @@ func (s scalarOnly) ObserveBranch(ip, target uint64, kind trace.Kind, taken bool
 }
 
 func TestBatchPathMatchesScalarPath(t *testing.T) {
-	// core.RunBlocks must produce identical RunStats whether the packed
+	// core.RunBlocks must produce identical RunStats — and the predictor
+	// pass identical misprediction maps, bit for bit — whether the packed
 	// engine consumes whole blocks (bp.BlockRunner), the same engine is
 	// driven per instruction (wrapper hiding RunBlock), or the reference
 	// runs the scalar loop — at more than one block length, so nothing
@@ -183,6 +184,22 @@ func TestBatchPathMatchesScalarPath(t *testing.T) {
 			}
 			if batch != ref {
 				t.Errorf("%s blockLen=%d: batch %+v != reference %+v", spec.Name, blockLen, batch, ref)
+			}
+
+			batchMap := core.RunMispredicts(buf.BlockStream(blockLen), tage.New(tage.Config8KB()))
+			scalarMap := core.RunMispredicts(buf.BlockStream(blockLen), scalarOnly{tage.New(tage.Config8KB())})
+			refMap := core.RunMispredicts(buf.BlockStream(blockLen), tage.NewReference(tage.Config8KB()))
+			if batchMap.Len() != batch.CondExecs || batchMap.Count() != batch.Mispreds ||
+				scalarMap.Len() != batchMap.Len() || refMap.Len() != batchMap.Len() {
+				t.Fatalf("%s blockLen=%d: map lengths batch %d, scalar %d, reference %d; batch map %d misses vs %+v",
+					spec.Name, blockLen, batchMap.Len(), scalarMap.Len(), refMap.Len(), batchMap.Count(), batch)
+			}
+			for k := uint64(0); k < batchMap.Len(); k++ {
+				b := batchMap.Mispredicted(k)
+				if b != scalarMap.Mispredicted(k) || b != refMap.Mispredicted(k) {
+					t.Fatalf("%s blockLen=%d: conditional branch %d: batch %v, scalar %v, reference %v",
+						spec.Name, blockLen, k, b, scalarMap.Mispredicted(k), refMap.Mispredicted(k))
+				}
 			}
 		}
 	}

@@ -477,28 +477,24 @@ func (p *Predictor) ObserveBranch(ip, target uint64, kind trace.Kind, taken bool
 	p.pushHistory(ip, true)
 }
 
-// RunBlock implements bp.BlockRunner: the measurement loop hands a whole
+// RunBlock implements bp.BlockRunner: the predictor loop hands a whole
 // replay block to the predictor, which walks it with the predict/retire
 // paths inlined — no per-branch interface dispatch, no cached-context
-// revalidation — and returns the conditional/mispredict counts. State
-// evolution is identical to the equivalent Predict/TrainWithTarget/
-// ObserveBranch call sequence.
-func (p *Predictor) RunBlock(blk []trace.Inst) (condExecs, mispreds uint64) {
+// revalidation — and appends each conditional branch's outcome to m.
+// State evolution is identical to the equivalent Predict/
+// TrainWithTarget/ObserveBranch call sequence.
+func (p *Predictor) RunBlock(blk []trace.Inst, m *bp.MispredictMap) {
 	ctx := &p.ctx
 	for j := range blk {
 		inst := &blk[j]
 		if inst.Kind == trace.KindCondBr {
-			condExecs++
 			p.predictInternal(ctx, inst.IP)
-			if ctx.final != inst.Taken {
-				mispreds++
-			}
+			m.Append(ctx.final != inst.Taken)
 			p.trainResolved(ctx, inst.IP, inst.Target, inst.Taken)
 		} else if inst.Kind.IsBranch() {
 			p.pushHistory(inst.IP, true)
 		}
 	}
-	return condExecs, mispreds
 }
 
 func satUpdate(c int8, up bool, min, max int8) int8 {

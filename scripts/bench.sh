@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR16.json,
+# bench.sh — run the tracked hot-path benchmarks, emit BENCH_PR17.json,
 # and diff the replay-loop, pipeline-stage and analysis-kernel
-# benchmarks against the previous committed baseline (BENCH_PR14.json)
+# benchmarks against the previous committed baseline (BENCH_PR16.json)
 # so regressions fail loudly.
 #
 # Tracked benchmarks (the perf trajectory of the replay refactors):
@@ -64,7 +64,7 @@
 #      model on the same sweep (PipelineSweep/reference). Annotating
 #      and predicting once per trace exists to make the sweep cheaper;
 #      a ratio above PIPE_MAX fails the script.
-#   4. Cross-run diff vs the committed BENCH_PR14.json baseline:
+#   4. Cross-run diff vs the committed BENCH_PR16.json baseline:
 #      printed for trend tracking; it only FAILS when BASELINE_GATE=1,
 #      because absolute ns/op from a different host (e.g. a CI runner
 #      vs the machine that recorded the baseline) cannot gate
@@ -90,9 +90,9 @@
 set -eu
 cd "$(dirname "$0")/.." || exit 1
 
-out="${1:-BENCH_PR16.json}"
+out="${1:-BENCH_PR17.json}"
 benchtime="${BENCHTIME:-1s}"
-baseline="${BASELINE:-BENCH_PR14.json}"
+baseline="${BASELINE:-BENCH_PR16.json}"
 regmax="${REGRESSION_MAX:-1.30}"
 blockmax="${BLOCK_MAX:-1.25}"
 tagemax="${TAGE_MAX:-1.00}"
